@@ -3,12 +3,11 @@
 
 /**
  * @file
- * The repository benchmark: four closed-loop workloads against the
- * public API (CompileService::compile in-process, NetServer/NetClient
- * over loopback TCP, runMatrix for the paper matrix), an untraced run
- * that reports the end-to-end metrics, and a traced run that replays
- * a seeded sample of each workload's requests as timed calls into
- * every layer's public functions. See perfbench/README.md for the
+ * The repository benchmark: three closed-loop workloads against the
+ * public API (CompileService::compile in-process, runMatrix for the
+ * paper matrix), an untraced run that reports the end-to-end metrics,
+ * and a traced run that replays a seeded sample of each workload's
+ * requests as timed calls into every layer's public functions. See perfbench/README.md for the
  * metric and workload definitions.
  */
 
@@ -26,13 +25,11 @@ namespace perfbench {
 enum class Workload : std::uint8_t {
     ColdUnique,    ///< unique synthetic loops, in-process
     RespelledHits, ///< fresh spellings of primed kernels
-    ZipfTcp,       ///< hot/cold zipf mix over loopback TCP
     PaperMatrix,   ///< runMatrix over the standard suite
 };
 
 inline constexpr Workload kWorkloads[] = {
-    Workload::ColdUnique, Workload::RespelledHits, Workload::ZipfTcp,
-    Workload::PaperMatrix};
+    Workload::ColdUnique, Workload::RespelledHits, Workload::PaperMatrix};
 
 const char *workloadName(Workload w);
 bool workloadFromName(const std::string &name, Workload &out);

@@ -40,6 +40,14 @@ median(std::vector<double> v)
     return percentile(std::move(v), 50);
 }
 
+/**
+ * Mean of @p v without its lowest and highest 10%. On a host that
+ * flips between fast and slow spells, a median snaps to whichever
+ * spell covered most of a run; this mean moves with the share of
+ * each, and still drops the odd stalled batch.
+ */
+double trimmedMean(std::vector<double> v);
+
 /** Counter @p name of a metrics snapshot, 0 when absent. */
 std::uint64_t counterOf(const dms::obs::MetricsSnapshot &snap,
                         const char *name);

@@ -1,12 +1,22 @@
 /**
  * @file
- * The traced run. A seeded sample of the workload's requests is sent
- * through the live system untraced (1 client, 1 worker, in-process
- * and over TCP), then replayed as timed calls into each layer's
- * public functions in the service's order: key and alias probe,
- * machine parse, loop parse, validation, canonicalisation, cache,
- * then the pipeline stages the way Pipeline::run calls them. Spans
- * (name, start, end, parent, request id) are kept in memory as
+ * The traced run.
+ *
+ * Service workloads: a seeded sample of the workload's requests is
+ * sent through the live system untraced (1 client, 1 worker,
+ * in-process and over a loopback TCP front-end), then replayed as
+ * timed calls into each layer's public functions in the service's
+ * order: key and alias probe, machine parse, loop parse, validation,
+ * canonicalisation, cache, then runLoop, whose Pipeline::run opens
+ * one span per stage. The wire codec runs on each request and its
+ * served result.
+ *
+ * paper_matrix: the cells of a seeded sub-suite are compiled the way
+ * runMatrix compiles them (one Pipeline per column, runLoop per cell),
+ * untraced and traced. No service, socket or submit path is involved,
+ * so those layers read 0.
+ *
+ * Spans (name, start, end, parent, request id) are kept in memory as
  * obs::Trace objects and written as Chrome trace_event JSON at the
  * end; a layer's self time is its span minus its children.
  */
@@ -18,17 +28,12 @@
 
 #include "analysis/analyze.h"
 #include "internal.h"
-#include "ir/unroll.h"
 #include "machine/desc.h"
 #include "obs/histogram.h"
 #include "obs/trace.h"
-#include "regalloc/queue_alloc.h"
-#include "sched/mii.h"
-#include "sched/verifier.h"
 #include "support/strings.h"
 #include "workload/suite.h"
 #include "workload/text.h"
-#include "workload/unroll_policy.h"
 
 namespace perfbench {
 
@@ -43,6 +48,16 @@ constexpr int kTraceSample = 256;
 constexpr size_t kMatrixSubSuite = 24;
 
 constexpr std::uint64_t kSubSuiteSalt = 0x5b5b5bULL;
+
+/** Layers timed by spans; each reports `<name>_us`. */
+constexpr const char *kSpanLayers[] = {
+    "workload.loop_parse", "workload.loop_canon", "machine.parse",
+    "machine.canon",       "serve.key",           "serve.alias_find",
+    "serve.validate",      "serve.cache_acquire", "serve.alias_insert",
+    "serve.publish",       "net.req_encode",      "net.req_decode",
+    "net.result_encode",   "net.result_decode",   "pipeline.unroll",
+    "pipeline.prepass",    "pipeline.mii",        "pipeline.schedule",
+    "pipeline.regalloc",   "pipeline.verify",     "pipeline.perf"};
 
 /**
  * The option fields of a compile request's cache key, in the
@@ -95,99 +110,31 @@ struct Replayed
     int queues = 0;
 };
 
-/** The pipeline stages, called the way Pipeline::run calls them. */
+/**
+ * One compile as the service worker and the runner run it: runLoop
+ * inside a "compile" span, with ctx.trace set so Pipeline::run opens
+ * one span per stage. The IR and scheduler counts are read from
+ * @p ctx afterwards.
+ */
 void
-replayStages(const PipelineOptions &po, const Loop &loop,
-             const MachineModel &machine, CompilationContext &ctx,
-             obs::Trace *tr, Replayed &out)
+compile(const Pipeline &pipeline, const Loop &loop,
+        const MachineModel &machine, CompilationContext &ctx,
+        obs::Trace *tr, Replayed &out)
 {
-    obs::ScopedSpan compile(tr, "compile");
-    ctx.queuesValid = false;
-    ctx.kernelValid = false;
-    ctx.perfValid = false;
     {
-        obs::ScopedSpan span(tr, "pipeline.unroll");
-        if (po.forceUnroll == 1)
-            ctx.body.resetTo(loop.ddg);
-        else if (po.forceUnroll > 1)
-            ctx.body = unrollDdg(loop.ddg, po.forceUnroll);
-        else
-            applyUnrollPolicy(loop.ddg, machine, ctx.body,
-                              po.unrollMaxFactor, po.unrollMaxOps);
-        const int u = ctx.body.unrollFactor();
-        ctx.iterations =
-            std::max<long>((loop.tripCount + u - 1) / u, 1);
-    }
-    out.opsAfterUnroll = ctx.body.numOps();
-    {
-        obs::ScopedSpan span(tr, "pipeline.prepass");
-        ctx.prepass = PrepassStats{};
-        if (machine.regFileKind() == RegFileKind::Queues)
-            ctx.prepass = singleUsePrepass(
-                ctx.body, machine.latencyOf(Opcode::Copy));
-    }
-    out.copies = ctx.prepass.copiesInserted;
-    {
-        obs::ScopedSpan span(tr, "pipeline.mii");
-        ctx.resMii = resMii(ctx.body, machine);
-        ctx.recMii = recMii(ctx.body);
-        ctx.mii = std::max(ctx.resMii, ctx.recMii);
-    }
-    {
-        obs::ScopedSpan span(tr, "pipeline.schedule");
-        Scheduler &sched = ctx.scheduler(po.scheduler);
-        SchedulerConfig config = po.config;
-        config.base.knownResMii = ctx.resMii;
-        config.base.knownRecMii = ctx.recMii;
-        config.dms.knownResMii = ctx.resMii;
-        config.dms.knownRecMii = ctx.recMii;
-        ctx.result = sched.schedule(ctx.body, machine, config);
+        obs::ScopedSpan span(tr, "compile");
+        ctx.trace = tr;
+        out.run = runLoop(pipeline, loop, machine, ctx);
+        ctx.trace = nullptr;
     }
     const SchedOutcome &so = ctx.result.sched;
+    out.compiled = true;
+    out.copies = ctx.prepass.copiesInserted;
+    out.opsAfterUnroll = ctx.body.numOps() - out.copies;
     out.attempts = so.attempts;
     out.placements = so.budgetUsed;
     out.moves = so.movesInserted;
-
-    LoopRun &run = out.run;
-    run = LoopRun();
-    run.unrollFactor = ctx.body.unrollFactor();
-    run.copiesInserted = ctx.prepass.copiesInserted;
-    run.iterations = ctx.iterations;
-    run.ok = so.ok;
-    run.mii = so.mii;
-    if (!so.ok)
-        return;
-    out.iiMinusMii = so.ii - so.mii;
-    if (po.regalloc) {
-        obs::ScopedSpan span(tr, "pipeline.regalloc");
-        if (machine.regFileKind() == RegFileKind::Queues) {
-            ctx.queues = allocateQueues(ctx.scheduledDdg(), machine,
-                                        *so.schedule);
-            ctx.queuesValid = true;
-        }
-    }
-    if (po.verify) {
-        obs::ScopedSpan span(tr, "pipeline.verify");
-        checkSchedule(ctx.scheduledDdg(), machine, *so.schedule);
-    }
-    {
-        obs::ScopedSpan span(tr, "pipeline.perf");
-        ctx.perf = evaluateSchedulePerf(ctx.scheduledDdg(),
-                                        *so.schedule, ctx.iterations);
-        if (ctx.queuesValid)
-            attachQueueStats(ctx.perf, ctx.queues);
-        ctx.perfValid = true;
-    }
-    run.ii = so.ii;
-    run.movesInserted = so.movesInserted;
-    run.stageCount = ctx.perf.stageCount;
-    run.cycles = ctx.perf.cycles;
-    run.usefulIssues =
-        static_cast<long>(ctx.perf.usefulOps) * ctx.iterations;
-    run.queueFiles = ctx.perf.queueFiles;
-    run.queuesRequired = ctx.perf.queues;
-    run.queueStorage = ctx.perf.queueStorage;
-    run.maxLinkQueues = ctx.perf.maxLinkQueues;
+    out.iiMinusMii = so.ok ? so.ii - so.mii : 0;
     out.queues = ctx.queuesValid ? ctx.perf.queues : 0;
 }
 
@@ -286,8 +233,7 @@ replay(ReplayState &st, const CompileRequest &req, obs::Trace *tr)
         return out;
     }
 
-    out.compiled = true;
-    replayStages(options, loop, machine, st.ctx, tr, out);
+    compile(Pipeline(options), loop, machine, st.ctx, tr, out);
     {
         obs::ScopedSpan span(tr, "serve.publish");
         auto result = std::make_shared<CompileResult>();
@@ -349,7 +295,7 @@ replayWire(const CompileRequest &req, const CompileResult &result,
     return out;
 }
 
-/** The paper_matrix sample: a seeded sub-suite's cells. */
+/** The paper_matrix sample: a seeded sub-suite. */
 std::vector<Loop>
 subSuite(const Streams &streams)
 {
@@ -365,35 +311,56 @@ subSuite(const Streams &streams)
     return out;
 }
 
-std::vector<Request>
-matrixRequests(const std::vector<Loop> &loops, const RunnerOptions &opts)
+/** One cell of the paper matrix. */
+struct Cell
 {
-    std::vector<Request> out;
+    size_t loop = 0;
+    int clusters = 0;
+    bool clustered = false;
+    MachineModel machine = MachineModel::unclustered(1);
+};
+
+/** Every cell of @p loops's matrix, column by column. */
+std::vector<Cell>
+matrixCells(size_t loops, const RunnerOptions &opts)
+{
+    std::vector<Cell> out;
     for (int c = 1; c <= opts.maxClusters; ++c) {
         for (bool clustered : {false, true}) {
-            MachineModel machine = MachineModel::unclustered(1);
+            Cell cell;
+            cell.clusters = c;
+            cell.clustered = clustered;
             std::string error;
-            machineFromText(
-                expandMachineTemplate(clustered
-                                          ? opts.clusteredMachine
-                                          : opts.unclusteredMachine,
-                                      c),
-                machine, error);
-            PipelineOptions po;
-            po.scheduler = clustered ? opts.clusteredScheduler
-                                     : opts.unclusteredScheduler;
-            po.verify = opts.verify;
-            po.regalloc = opts.regalloc;
-            po.perf = true;
-            for (const Loop &loop : loops) {
-                Request r;
-                r.index = static_cast<long>(out.size());
-                r.req = makeRequest(loop, machine, po);
-                out.push_back(std::move(r));
+            if (!machineFromText(
+                    expandMachineTemplate(clustered
+                                              ? opts.clusteredMachine
+                                              : opts.unclusteredMachine,
+                                          c),
+                    cell.machine, error))
+                fatal("perfbench: machine template: %s", error.c_str());
+            for (size_t li = 0; li < loops; ++li) {
+                cell.loop = li;
+                out.push_back(cell);
             }
         }
     }
     return out;
+}
+
+/** A column's pipeline options, as runMatrix builds them. */
+PipelineOptions
+columnOptions(const RunnerOptions &opts, bool clustered)
+{
+    PipelineOptions po;
+    po.scheduler =
+        clustered ? opts.clusteredScheduler : opts.unclusteredScheduler;
+    po.config.base = opts.ims;
+    po.config.dms = opts.dms;
+    po.verify = opts.verify;
+    po.regalloc = opts.regalloc;
+    po.perf = true;
+    po.analyze = opts.analyze;
+    return po;
 }
 
 /** Per-layer self time, summed per request, over requests it ran. */
@@ -423,11 +390,16 @@ struct SelfTimes
         }
         std::map<std::string, double> per_request;
         for (size_t i = 0; i < spans_.size(); ++i) {
-            per_request[spans_[i].name] += self[i];
-            if (spans_[i].name == "request")
-                requestUs.push_back(spans_[i].durUs);
-            if (spans_[i].name == "compile")
-                compileUs.push_back(spans_[i].durUs);
+            const obs::TraceSpan &s = spans_[i];
+            // Pipeline::run names its spans by stage.
+            const bool stage =
+                s.parent >= 0 &&
+                spans_[static_cast<size_t>(s.parent)].name == "compile";
+            per_request[stage ? "pipeline." + s.name : s.name] += self[i];
+            if (s.name == "request")
+                requestUs.push_back(s.durUs);
+            if (s.name == "compile")
+                compileUs.push_back(s.durUs);
         }
         for (const auto &kv : per_request) {
             layers[kv.first].us += kv.second;
@@ -452,6 +424,111 @@ struct SelfTimes
         return it == layers.end() ? 0.0 : it->second.us;
     }
 };
+
+double
+per(double v, double d)
+{
+    return d > 0 ? v / d : 0.0;
+}
+
+void
+zero(Report &rep, std::initializer_list<const char *> names)
+{
+    for (const char *n : names)
+        rep.set(n, 0.0);
+}
+
+/** The span-timed layers and the per-compile IR/scheduler counts. */
+void
+setLayerMetrics(Report &rep, const SelfTimes &self,
+                const std::vector<Replayed> &replayed)
+{
+    for (const char *layer : kSpanLayers)
+        rep.set(std::string(layer) + "_us", self.meanUs(layer));
+    double lines = 0;
+    double compiles = 0;
+    double oks = 0;
+    double ops = 0, copies = 0, attempts = 0, placements = 0, moves = 0,
+           slack = 0, queues = 0;
+    for (const Replayed &r : replayed) {
+        lines += r.lines;
+        if (!r.compiled)
+            continue;
+        compiles += 1;
+        ops += r.opsAfterUnroll;
+        copies += r.copies;
+        attempts += r.attempts;
+        placements += static_cast<double>(r.placements);
+        moves += r.moves;
+        queues += r.queues;
+        if (r.run.ok) {
+            oks += 1;
+            slack += r.iiMinusMii;
+        }
+    }
+    rep.set("workload.parse_lines_per_s",
+            per(lines, self.totalUs("workload.loop_parse") * 1e-6));
+    rep.set("ir.ops_after_unroll", per(ops, compiles));
+    rep.set("ir.copies_inserted", per(copies, compiles));
+    rep.set("sched.attempts", per(attempts, compiles));
+    rep.set("sched.placements", per(placements, compiles));
+    rep.set("sched.moves_inserted", per(moves, compiles));
+    rep.set("sched.ii_minus_mii", per(slack, oks));
+    rep.set("sched.placements_per_s",
+            per(placements, self.totalUs("pipeline.schedule") * 1e-6));
+    rep.set("regalloc.queues_required", per(queues, compiles));
+    rep.set("trace.spans", static_cast<double>(self.spans));
+    rep.note(strfmt("traced sample: %zu requests, %.0f compiled",
+                    replayed.size(), compiles));
+}
+
+/** Lint the spans as trace_event JSON and write them out. */
+void
+exportTrace(Report &rep, const RunArgs &args,
+            const std::vector<std::shared_ptr<obs::Trace>> &traces,
+            long spans)
+{
+    const std::string json = obs::tracesToJson(
+        std::vector<std::shared_ptr<const obs::Trace>>(traces.begin(),
+                                                       traces.end()));
+    DiagnosticSink sink;
+    lintTraceText(json, "perfbench", sink);
+    if (!sink.empty())
+        rep.fail("trace export fails obs.trace-nesting:\n" +
+                 sink.renderText());
+    if (args.traceOut.empty())
+        return;
+    std::FILE *f = std::fopen(args.traceOut.c_str(), "w");
+    if (f == nullptr ||
+        std::fwrite(json.data(), 1, json.size(), f) != json.size()) {
+        rep.fail("cannot write " + args.traceOut);
+    } else {
+        rep.note(strfmt("wrote %ld spans of %zu requests to %s", spans,
+                        traces.size(), args.traceOut.c_str()));
+    }
+    if (f != nullptr)
+        std::fclose(f);
+}
+
+/** Stage sum vs the untraced latency of the same requests. */
+void
+setStageSum(Report &rep, const SelfTimes &self,
+            const std::vector<double> &untracedUs, const char *against,
+            bool gate)
+{
+    std::vector<double> ratio;
+    for (size_t i = 0; i < untracedUs.size(); ++i)
+        ratio.push_back(per(self.requestUs[i], untracedUs[i]));
+    const double frac = median(ratio);
+    rep.set("trace.stage_sum_frac", frac);
+    rep.note(strfmt("stage sum: layer self times p50 %.1f us vs %s p50 "
+                    "%.1f us; per-request ratio p50 %.1f%%%s",
+                    median(self.requestUs), against, median(untracedUs),
+                    frac * 100,
+                    !gate                          ? ""
+                    : std::abs(frac - 1) <= 0.10 ? ": within 10%"
+                                                 : ": NOT within 10%"));
+}
 
 /** ns per LatencyHistogram::record, median of 5 rounds. */
 double
@@ -487,27 +564,20 @@ metricsSnapshotUs(CompileService &service)
     return sink > 0 ? us : 0.0;
 }
 
-} // namespace
-
 Report
-runTraced(const RunArgs &args)
+runTracedService(const RunArgs &args, const Shape &shape,
+                 const Streams &streams)
 {
     const Workload w = args.workload;
-    const Shape shape = shapeOf(w, usableCpus());
-    const Streams streams(args.seed);
-    const int capacity = ServeOptions().cacheCapacity;
+    const int capacity = shape.cacheCapacity;
     Report rep;
     rep.config.push_back("\"clients\":1");
     rep.config.push_back("\"workers\":1");
-    rep.config.push_back(strfmt("\"jobs\":%d", shape.jobs));
+    rep.config.push_back("\"jobs\":1");
     rep.config.push_back(strfmt("\"cache_capacity\":%d", capacity));
 
     // --- serve counters from an untraced window of the workload ---
-    const auto zero = [&rep](std::initializer_list<const char *> names) {
-        for (const char *n : names)
-            rep.set(n, 0.0);
-    };
-    if (w != Workload::PaperMatrix) {
+    {
         const ServicePhase phase = runServicePhase(
             w, shape, streams, std::clamp(args.seconds / 4, 0.5, 3.0), 1,
             0);
@@ -521,7 +591,8 @@ runTraced(const RunArgs &args)
                     requests);
         rep.set("serve.evictions_per_kreq",
                 delta("cache.evictions") * 1e3 / requests);
-        rep.set("serve.misses", delta("serve.misses"));
+        rep.set("serve.misses_per_kreq",
+                delta("serve.misses") * 1e3 / requests);
         rep.set("serve.queue_peak",
                 gaugeOf(phase.after, "serve.queue_depth_peak"));
         rep.note(strfmt("window: %ld requests in %.3f s untraced "
@@ -531,23 +602,11 @@ runTraced(const RunArgs &args)
         const std::string split = phase.splitProblem(w);
         if (!split.empty())
             rep.fail(split);
-    } else {
-        zero({"serve.hit_rate", "serve.evictions_per_kreq",
-              "serve.misses", "serve.queue_peak"});
     }
 
-    // --- the sample ------------------------------------------------
-    const RunnerOptions mopts = matrixOptions(shape.jobs);
-    std::vector<Loop> sub;
-    std::vector<Request> sample;
-    if (w == Workload::PaperMatrix) {
-        sub = subSuite(streams);
-        sample = matrixRequests(sub, mopts);
-    } else {
-        sample = generate(streams, w, 0, kTraceSample);
-    }
-    const long n = static_cast<long>(sample.size());
-    rep.attempted = n;
+    const std::vector<Request> sample =
+        generate(streams, w, 0, kTraceSample);
+    rep.attempted = static_cast<long>(sample.size());
     std::vector<bool> bad(sample.size(), false);
     const auto mismatch = [&](size_t i, const std::string &why) {
         if (!bad[i])
@@ -571,12 +630,12 @@ runTraced(const RunArgs &args)
     for (ReplayState *st : {&plain, &traced}) {
         if (w == Workload::ColdUnique)
             replay(*st, streams.warmup(0).req, nullptr);
-        else if (w != Workload::PaperMatrix)
+        else
             for (const std::string &text : streams.hotTexts())
                 replay(*st, streams.request(text), nullptr);
     }
-    std::vector<double> local_ms(sample.size());
-    std::vector<double> tcp_ms(sample.size());
+    std::vector<double> local_us(sample.size());
+    std::vector<double> tcp_us(sample.size());
     std::vector<CompileService::ResultPtr> local(sample.size());
     std::vector<CompileService::ResultPtr> remote(sample.size());
     std::vector<std::shared_ptr<obs::Trace>> traces(sample.size());
@@ -590,11 +649,11 @@ runTraced(const RunArgs &args)
             switch ((i + k) % 4) {
             case 0:
                 local[i] = local_rig.issue(0, req);
-                local_ms[i] = (nowSeconds() - t0) * 1e3;
+                local_us[i] = (nowSeconds() - t0) * 1e6;
                 break;
             case 1:
                 remote[i] = tcp_rig.issue(0, req);
-                tcp_ms[i] = (nowSeconds() - t0) * 1e3;
+                tcp_us[i] = (nowSeconds() - t0) * 1e6;
                 break;
             case 2:
                 replay(plain, req, nullptr);
@@ -636,147 +695,174 @@ runTraced(const RunArgs &args)
         if (!replayed[i].parsed || replayed[i].run != local[i]->run)
             mismatch(i, "replayed LoopRun differs from the served one");
     }
-
     pin.restore();
 
     SelfTimes self;
     for (const auto &trace : traces)
         self.add(*trace);
-
-    // --- layer metrics ---------------------------------------------
-    for (const char *layer :
-         {"workload.loop_parse", "workload.loop_canon", "machine.parse",
-          "machine.canon", "serve.key", "serve.alias_find",
-          "serve.validate", "serve.cache_acquire", "serve.alias_insert",
-          "serve.publish", "net.req_encode", "net.req_decode",
-          "net.result_encode", "net.result_decode", "pipeline.unroll",
-          "pipeline.prepass", "pipeline.mii", "pipeline.schedule",
-          "pipeline.regalloc", "pipeline.verify", "pipeline.perf"})
-        rep.set(std::string(layer) + "_us", self.meanUs(layer));
-    double lines = 0;
-    double compiles = 0;
-    double oks = 0;
-    double ops = 0, copies = 0, attempts = 0, placements = 0, moves = 0,
-           slack = 0, queues = 0;
-    for (const Replayed &r : replayed) {
-        lines += r.lines;
-        if (!r.compiled)
-            continue;
-        compiles += 1;
-        ops += r.opsAfterUnroll;
-        copies += r.copies;
-        attempts += r.attempts;
-        placements += static_cast<double>(r.placements);
-        moves += r.moves;
-        queues += r.queues;
-        if (r.run.ok) {
-            oks += 1;
-            slack += r.iiMinusMii;
-        }
-    }
-    const auto per = [](double v, double d) { return d > 0 ? v / d : 0.0; };
-    rep.set("workload.parse_lines_per_s",
-            per(lines, self.totalUs("workload.loop_parse") * 1e-6));
-    rep.set("ir.ops_after_unroll", per(ops, compiles));
-    rep.set("ir.copies_inserted", per(copies, compiles));
-    rep.set("sched.attempts", per(attempts, compiles));
-    rep.set("sched.placements", per(placements, compiles));
-    rep.set("sched.moves_inserted", per(moves, compiles));
-    rep.set("sched.ii_minus_mii", per(slack, oks));
-    rep.set("sched.placements_per_s",
-            per(placements, self.totalUs("pipeline.schedule") * 1e-6));
-    rep.set("regalloc.queues_required", per(queues, compiles));
+    setLayerMetrics(rep, self, replayed);
+    const double n = static_cast<double>(sample.size());
     rep.set("net.bytes_in_per_req", per(bytes_in, n));
     rep.set("net.bytes_out_per_req", per(bytes_out, n));
-    rep.set("net.overhead_us",
-            (median(tcp_ms) - median(local_ms)) * 1e3);
+    rep.set("net.overhead_us", median(tcp_us) - median(local_us));
 
     // Stage sum vs the untraced 1-client/1-worker latency, paired
     // per request; the residual is the queue handoff and the
     // service's bookkeeping.
     std::vector<double> residual;
-    std::vector<double> ratio;
-    for (size_t i = 0; i < sample.size(); ++i) {
-        const double live_us = local_ms[i] * 1e3;
-        residual.push_back(live_us - self.requestUs[i]);
-        ratio.push_back(per(self.requestUs[i], live_us));
-    }
+    for (size_t i = 0; i < sample.size(); ++i)
+        residual.push_back(local_us[i] - self.requestUs[i]);
     rep.set("serve.residual_us", median(residual));
-    const double stage_sum = median(ratio);
-    rep.set("trace.stage_sum_frac", stage_sum);
-    rep.note(strfmt("stage sum: layer self times p50 %.1f us vs "
-                    "untraced 1-client/1-worker latency p50 %.1f us; "
-                    "per-request ratio p50 %.1f%%%s",
-                    median(self.requestUs), median(local_ms) * 1e3,
-                    stage_sum * 100,
-                    w == Workload::ColdUnique
-                        ? std::abs(stage_sum - 1) <= 0.10
-                              ? ": within 10%"
-                              : ": NOT within 10%"
-                        : ""));
+    setStageSum(rep, self, local_us,
+                "untraced 1-client/1-worker latency",
+                w == Workload::ColdUnique);
     rep.set("trace.overhead_frac", 1.0 - per(untraced_s, traced_s));
-    rep.set("trace.spans", static_cast<double>(self.spans));
     rep.set("obs.latency_record_ns", latencyRecordNs());
     rep.set("obs.metrics_snapshot_us", snapshot_us);
+    rep.set("eval.cell_p50_us", 0.0);
+    zero(rep, {"eval.parallel_efficiency", "eval.cell_max_share"});
 
-    // --- the eval runner (paper_matrix) ----------------------------
-    rep.set("eval.cell_p50_us", median(self.compileUs));
-    if (w == Workload::PaperMatrix) {
-        std::vector<double> serial;
-        std::vector<double> parallel;
-        RunnerOptions one = mopts;
-        one.jobs = 1;
-        for (int r = 0; r < 3; ++r) {
-            double t0 = nowSeconds();
-            runMatrix(sub, one);
-            serial.push_back(nowSeconds() - t0);
-            t0 = nowSeconds();
-            runMatrix(sub, mopts);
-            parallel.push_back(nowSeconds() - t0);
-        }
-        const double t1 = median(serial);
-        const double tn = median(parallel);
-        rep.set("eval.parallel_efficiency", t1 / (shape.jobs * tn));
-        const double max_cell = self.compileUs.empty()
-                                    ? 0.0
-                                    : *std::max_element(
-                                          self.compileUs.begin(),
-                                          self.compileUs.end());
-        rep.set("eval.cell_max_share", max_cell * 1e-6 / tn);
-        rep.note(strfmt("runMatrix over %zu loops: %.4f s at 1 job, "
-                        "%.4f s at %d jobs",
-                        sub.size(), t1, tn, shape.jobs));
-    } else {
-        zero({"eval.parallel_efficiency", "eval.cell_max_share"});
-    }
-
-    // --- the trace artifact ----------------------------------------
-    const std::string json = obs::tracesToJson(
-        std::vector<std::shared_ptr<const obs::Trace>>(traces.begin(),
-                                                       traces.end()));
-    DiagnosticSink sink;
-    lintTraceText(json, "perfbench", sink);
-    if (!sink.empty())
-        rep.fail("trace export fails obs.trace-nesting:\n" +
-                 sink.renderText());
-    if (!args.traceOut.empty()) {
-        std::FILE *f = std::fopen(args.traceOut.c_str(), "w");
-        if (f == nullptr ||
-            std::fwrite(json.data(), 1, json.size(), f) != json.size()) {
-            rep.fail("cannot write " + args.traceOut);
-        } else {
-            rep.note(strfmt("wrote %ld spans of %ld requests to %s",
-                            self.spans, n, args.traceOut.c_str()));
-        }
-        if (f != nullptr)
-            std::fclose(f);
-    }
-
+    exportTrace(rep, args, traces, self.spans);
     rep.failed = static_cast<long>(std::count(bad.begin(), bad.end(), true));
-    rep.note(strfmt("traced sample: %ld requests, %.0f compiled, "
-                    "replay %.4f s untraced vs %.4f s traced",
-                    n, compiles, untraced_s, traced_s));
+    rep.note(strfmt("replay %.4f s untraced vs %.4f s traced", untraced_s,
+                    traced_s));
     return rep;
+}
+
+Report
+runTracedMatrix(const RunArgs &args, const Shape &shape,
+                const Streams &streams)
+{
+    Report rep;
+    rep.config.push_back("\"clients\":0");
+    rep.config.push_back("\"workers\":0");
+    rep.config.push_back(strfmt("\"jobs\":%d", shape.jobs));
+    rep.config.push_back("\"cache_capacity\":0");
+    const RunnerOptions opts = matrixOptions(shape.jobs);
+    const std::vector<Loop> sub = subSuite(streams);
+    const std::vector<Cell> cells = matrixCells(sub.size(), opts);
+    rep.attempted = static_cast<long>(cells.size());
+    std::vector<bool> bad(cells.size(), false);
+    const auto mismatch = [&](size_t i, const std::string &why) {
+        if (!bad[i])
+            rep.fail(strfmt("sample cell %zu: %s", i, why.c_str()));
+        bad[i] = true;
+    };
+
+    // --- every cell twice, on one CPU -------------------------------
+    // Untraced and traced back to back, in alternating order, each in
+    // its own context with the runner's per-column pipelines.
+    const Pipeline unclustered(columnOptions(opts, false));
+    const Pipeline clustered(columnOptions(opts, true));
+    const auto pipelineOf = [&](const Cell &c) -> const Pipeline & {
+        return c.clustered ? clustered : unclustered;
+    };
+    OneCpu pin;
+    CompilationContext plain_ctx;
+    CompilationContext traced_ctx;
+    for (const Cell *c : {&cells.front(), &cells.back()}) {
+        runLoop(pipelineOf(*c), sub[c->loop], c->machine, plain_ctx);
+        runLoop(pipelineOf(*c), sub[c->loop], c->machine, traced_ctx);
+    }
+    std::vector<double> untraced_us(cells.size());
+    std::vector<LoopRun> plain(cells.size());
+    std::vector<std::shared_ptr<obs::Trace>> traces(cells.size());
+    std::vector<Replayed> replayed(cells.size());
+    double untraced_s = 0;
+    double traced_s = 0;
+    for (size_t i = 0; i < cells.size(); ++i) {
+        const Cell &c = cells[i];
+        for (size_t k = 0; k < 2; ++k) {
+            const double t0 = nowSeconds();
+            if ((i + k) % 2 == 0) {
+                plain[i] = runLoop(pipelineOf(c), sub[c.loop], c.machine,
+                                   plain_ctx);
+                untraced_us[i] = (nowSeconds() - t0) * 1e6;
+                untraced_s += nowSeconds() - t0;
+            } else {
+                traces[i] = std::make_shared<obs::Trace>();
+                {
+                    obs::ScopedSpan root(traces[i].get(), "request");
+                    compile(pipelineOf(c), sub[c.loop], c.machine,
+                            traced_ctx, traces[i].get(), replayed[i]);
+                }
+                traces[i]->finish();
+                traced_s += nowSeconds() - t0;
+            }
+        }
+    }
+    pin.restore();
+
+    // --- the eval runner over the sub-suite -------------------------
+    std::vector<double> serial;
+    std::vector<double> parallel;
+    RunnerOptions one = opts;
+    one.jobs = 1;
+    std::vector<ConfigRun> matrix;
+    for (int r = 0; r < 3; ++r) {
+        double t0 = nowSeconds();
+        runMatrix(sub, one);
+        serial.push_back(nowSeconds() - t0);
+        t0 = nowSeconds();
+        matrix = runMatrix(sub, opts);
+        parallel.push_back(nowSeconds() - t0);
+    }
+    for (size_t i = 0; i < cells.size(); ++i) {
+        const Cell &c = cells[i];
+        const ConfigRun &cfg = matrix[static_cast<size_t>(c.clusters - 1)];
+        const LoopRun &want =
+            c.clustered ? cfg.clustered[c.loop] : cfg.unclustered[c.loop];
+        if (plain[i] != want || replayed[i].run != want)
+            mismatch(i, strfmt("(%s, %d clusters, %s) differs from "
+                               "runMatrix",
+                               sub[c.loop].name.c_str(), c.clusters,
+                               c.clustered ? "dms" : "ims"));
+    }
+
+    SelfTimes self;
+    for (const auto &trace : traces)
+        self.add(*trace);
+    setLayerMetrics(rep, self, replayed);
+    setStageSum(rep, self, untraced_us, "untraced runLoop", false);
+    rep.set("trace.overhead_frac", 1.0 - per(untraced_s, traced_s));
+    rep.set("eval.cell_p50_us", median(self.compileUs));
+    const double t1 = median(serial);
+    const double tn = median(parallel);
+    rep.set("eval.parallel_efficiency", t1 / (shape.jobs * tn));
+    const double max_cell =
+        self.compileUs.empty()
+            ? 0.0
+            : *std::max_element(self.compileUs.begin(),
+                                self.compileUs.end());
+    rep.set("eval.cell_max_share", max_cell * 1e-6 / tn);
+    rep.note(strfmt("runMatrix over %zu loops: %.4f s at 1 job, %.4f s "
+                    "at %d jobs",
+                    sub.size(), t1, tn, shape.jobs));
+
+    // runMatrix takes no service, socket or submit path.
+    zero(rep, {"serve.hit_rate", "serve.evictions_per_kreq",
+               "serve.misses_per_kreq", "serve.queue_peak",
+               "serve.residual_us", "net.bytes_in_per_req",
+               "net.bytes_out_per_req", "net.overhead_us",
+               "obs.latency_record_ns", "obs.metrics_snapshot_us"});
+
+    exportTrace(rep, args, traces, self.spans);
+    rep.failed = static_cast<long>(std::count(bad.begin(), bad.end(), true));
+    rep.note(strfmt("cells %.4f s untraced vs %.4f s traced", untraced_s,
+                    traced_s));
+    return rep;
+}
+
+} // namespace
+
+Report
+runTraced(const RunArgs &args)
+{
+    const Shape shape = shapeOf(args.workload, usableCpus());
+    const Streams streams(args.seed);
+    return args.workload == Workload::PaperMatrix
+               ? runTracedMatrix(args, shape, streams)
+               : runTracedService(args, shape, streams);
 }
 
 } // namespace perfbench

@@ -38,8 +38,9 @@ constexpr std::uint64_t kSamplePeriod = 16;
 /** Checked results per service run. */
 constexpr int kSampleCap = 256;
 
-/** Set-ups per run; setup_s is their median. */
-constexpr int kSetups = 21;
+/** Set-ups per run, half before and half after the timed phase;
+ *  setup_s is their trimmed mean. */
+constexpr int kSetups = 40;
 
 /** Matrix cells checked per paper_matrix run (about). */
 constexpr std::uint64_t kCellSamplePeriod = 400;
@@ -50,28 +51,14 @@ served(CompileStatus s)
     return s == CompileStatus::Ok || s == CompileStatus::Unschedulable;
 }
 
-/** Unmeasured batches before timing starts. */
-int
-warmupBatches(Workload w, const Shape &shape)
-{
-    if (w != Workload::ZipfTcp)
-        return 1;
-    // Insert more cold keys than the cache holds, so eviction is
-    // at steady state when timing starts.
-    const double cold_per_batch = shape.batch * 0.25;
-    return static_cast<int>(
-        std::ceil(1.25 * shape.cacheCapacity / cold_per_batch));
-}
-
 /** The rig of service workload @p w. */
 RigShape
-rigShape(Workload w, const Shape &shape)
+rigShape(const Shape &shape)
 {
     RigShape rs;
     rs.workers = shape.workers;
     rs.clients = shape.clients;
     rs.cacheCapacity = shape.cacheCapacity;
-    rs.tcp = w == Workload::ZipfTcp;
     return rs;
 }
 
@@ -85,26 +72,33 @@ runServicePhase(Workload w, const Shape &shape, const Streams &streams,
     if (shape.placement == Placement::OneCpu)
         pin = std::make_unique<OneCpu>();
 
-    // Set-up, timed on fresh rigs; the last one is measured.
-    // Tear-down of the earlier ones is not timed.
+    // Set-up, timed on fresh rigs, half before the timed phase (the
+    // last of those is measured) and half after it, so set-up time
+    // samples the host at both ends of the run. Tear-down is not
+    // timed.
     ServicePhase out;
     std::unique_ptr<Rig> rig;
-    for (int k = 0; k < std::max(setups, 1); ++k) {
+    const auto setUp = [&] {
         rig.reset();
         const double t0 = nowSeconds();
-        rig = std::make_unique<Rig>(w, streams, rigShape(w, shape));
+        rig = std::make_unique<Rig>(w, streams, rigShape(shape));
         rig->prime();
         out.setups.push_back(nowSeconds() - t0);
-    }
+    };
+    const int before = std::max((setups + 1) / 2, 1);
+    for (int k = 0; k < before; ++k)
+        setUp();
 
     long next = 0;
     runClosedLoop(*rig, streams, w, shape, next, /*seconds=*/0,
-                  warmupBatches(w, shape), /*sampleCap=*/0);
+                  /*warmup=*/1, /*sampleCap=*/0);
     out.before = rig->metrics();
     out.stats = runClosedLoop(*rig, streams, w, shape, next, seconds, 0,
                               sampleCap);
     out.after = rig->metrics();
     out.rssMb = peakRssMb();
+    for (int k = before; k < setups; ++k)
+        setUp();
     return out;
 }
 
@@ -122,10 +116,6 @@ ServicePhase::splitProblem(Workload w) const
     case Workload::RespelledHits:
         if (delta("serve.misses") != 0)
             return "respelled_hits compiled after priming";
-        break;
-    case Workload::ZipfTcp:
-        if (delta("cache.evictions") == 0)
-            return "zipf_tcp evicted nothing";
         break;
     case Workload::PaperMatrix:
         break;
@@ -196,16 +186,16 @@ runService(const RunArgs &args, const Shape &shape)
         rep.fail(strfmt("%ld of %ld requests failed", rep.failed,
                         requests));
 
-    rep.set("rps", median(st.batchRps));
-    rep.set("latency_p50_ms", median(st.batchP50Ms));
-    rep.set("latency_p99_ms", median(st.batchP99Ms));
+    rep.set("rps", trimmedMean(st.batchRps));
+    rep.set("latency_p50_ms", trimmedMean(st.batchP50Ms));
+    rep.set("latency_p99_ms", trimmedMean(st.batchP99Ms));
     rep.set("served_frac",
             static_cast<double>(requests - rep.failed) / requests);
     rep.set("ii_over_mii", st.sumMii > 0 ? st.sumIi / st.sumMii : 0.0);
     rep.set("rel_cycles", checker.relCycles());
     rep.set("cpu_ms_per_req", st.cpuSeconds * 1e3 / requests);
     rep.set("peak_rss_mb", phase.rssMb);
-    rep.set("setup_s", median(setups));
+    rep.set("setup_s", trimmedMean(setups));
 
     rep.note(strfmt("set-up: %d times, min %.3f ms, median %.3f ms, "
                     "max %.3f ms",
@@ -299,18 +289,22 @@ runPaperMatrix(const RunArgs &args, const Shape &shape)
 
     // Set-up: the runner's fixed per-call cost (machine
     // instantiation, scheduler checks, pool start) on a one-loop
-    // sweep.
+    // sweep, half before and half after the timed phase.
     std::vector<double> setups;
-    for (int k = 0; k < kSetups; ++k) {
-        const std::vector<Loop> one = {suite[static_cast<size_t>(k)]};
-        const double t0 = nowSeconds();
-        runMatrix(one, opts);
-        setups.push_back(nowSeconds() - t0);
-    }
+    const auto setUp = [&](int from, int to) {
+        for (int k = from; k < to; ++k) {
+            const std::vector<Loop> one = {suite[static_cast<size_t>(k)]};
+            const double t0 = nowSeconds();
+            runMatrix(one, opts);
+            setups.push_back(nowSeconds() - t0);
+        }
+    };
+    setUp(0, kSetups / 2);
 
     // The suite cut into fixed runMatrix calls of `chunk`
     // consecutive loops; each pass makes every call once, in a
-    // seeded order. A call's latency is its median over the passes.
+    // seeded order. A call's latency is its trimmed mean over the
+    // passes.
     const size_t chunk = static_cast<size_t>(shape.batch);
     std::vector<std::vector<Loop>> calls((suite.size() + chunk - 1) /
                                          chunk);
@@ -391,12 +385,13 @@ runPaperMatrix(const RunArgs &args, const Shape &shape)
     std::vector<double> chunk_ms;
     for (const std::vector<double> &ms : call_ms) {
         if (!ms.empty())
-            chunk_ms.push_back(median(ms));
+            chunk_ms.push_back(trimmedMean(ms));
     }
     const size_t complete = pass_rps.size();
     if (complete == 0 && partial_seconds > 0)
         pass_rps.push_back(partial_cells / partial_seconds);
     const double rss = peakRssMb();
+    setUp(kSetups / 2, kSetups);
 
     long check_failures = 0;
     for (const CellSample &s : samples) {
@@ -410,7 +405,7 @@ runPaperMatrix(const RunArgs &args, const Shape &shape)
     const long attempted = std::max(cells, 1L);
     rep.attempted = attempted;
     rep.failed = std::min(attempted, check_failures);
-    rep.set("rps", median(pass_rps));
+    rep.set("rps", trimmedMean(pass_rps));
     rep.set("latency_p50_ms", percentile(chunk_ms, 50));
     rep.set("latency_p99_ms", percentile(chunk_ms, 99));
     rep.set("served_frac",
@@ -420,7 +415,7 @@ runPaperMatrix(const RunArgs &args, const Shape &shape)
             ims_cycles > 0 ? dms_cycles / ims_cycles : 0.0);
     rep.set("cpu_ms_per_req", cpu * 1e3 / attempted);
     rep.set("peak_rss_mb", rss);
-    rep.set("setup_s", median(setups));
+    rep.set("setup_s", trimmedMean(setups));
     rep.note(strfmt("paper_matrix: %zu loops x %d cluster counts x 2 "
                     "machines as %zu runMatrix calls of %zu loops; %ld "
                     "cells, %zu complete passes, %.3f s measured",
@@ -458,6 +453,19 @@ peakRssMb()
     rusage ru{};
     getrusage(RUSAGE_SELF, &ru);
     return static_cast<double>(ru.ru_maxrss) / 1024.0;
+}
+
+double
+trimmedMean(std::vector<double> v)
+{
+    if (v.empty())
+        return 0.0;
+    std::sort(v.begin(), v.end());
+    const size_t cut = v.size() / 10;
+    double sum = 0;
+    for (size_t i = cut; i < v.size() - cut; ++i)
+        sum += v[i];
+    return sum / static_cast<double>(v.size() - 2 * cut);
 }
 
 double

@@ -9,8 +9,8 @@
  *   - every respelling canonicalises to its kernel's loopToText;
  *   - each workload splits work across layers as designed
  *     (cold_unique never hits, respelled_hits never compiles after
- *     priming, zipf_tcp evicts), checked on short real runs, which
- *     also run the correctness check;
+ *     priming), checked on short real runs, which also run the
+ *     correctness check;
  *   - the traced run on cold_unique produces a trace that passes
  *     obs.trace-nesting, and its layer self times sum to within 10%
  *     of the untraced 1-client/1-worker latency.

@@ -20,10 +20,6 @@ using namespace dms;
 
 namespace {
 
-/** Share of zipf_tcp requests that are verbatim hot kernels. */
-constexpr int kHotPercent = 75;
-
-constexpr std::uint64_t kColdSalt = 0xc01dc01dULL;
 /** Warm-up loops are the same for every seed: set-up is no input. */
 constexpr std::uint64_t kWarmupSeed = 0x3a3a3a3aULL;
 constexpr std::uint64_t kPassSalt = 0x9a55ULL;
@@ -38,8 +34,6 @@ workloadName(Workload w)
         return "cold_unique";
     case Workload::RespelledHits:
         return "respelled_hits";
-    case Workload::ZipfTcp:
-        return "zipf_tcp";
     case Workload::PaperMatrix:
         return "paper_matrix";
     }
@@ -89,10 +83,6 @@ shapeOf(Workload w, int cpus)
         break;
     case Workload::RespelledHits:
         s.batch = 4096;
-        break;
-    case Workload::ZipfTcp:
-        s.batch = 2048;
-        s.placement = Placement::OneCpu;
         break;
     case Workload::PaperMatrix:
         s.clients = 0;
@@ -149,15 +139,6 @@ Streams::at(Workload w, long index) const
         r.hot = static_cast<int>(zipf.pick(rng));
         r.req = request(
             respell(hot_[static_cast<size_t>(r.hot)], rng, index));
-        break;
-    case Workload::ZipfTcp:
-        if (rng.range(1, 100) <= kHotPercent) {
-            r.hot = static_cast<int>(zipf.pick(rng));
-            r.req = request(hot_[static_cast<size_t>(r.hot)]);
-        } else {
-            r.req = request(coldLoopText(seed_ ^ kColdSalt,
-                                         static_cast<int>(index)));
-        }
         break;
     case Workload::PaperMatrix:
         DMS_ASSERT(false, "paper_matrix has no request stream");
@@ -265,7 +246,7 @@ perLayerMetrics()
         {"serve.publish_us", "us", "lower"},
         {"serve.hit_rate", "frac", "higher"},
         {"serve.evictions_per_kreq", "1/kreq", "lower"},
-        {"serve.misses", "count", "lower"},
+        {"serve.misses_per_kreq", "1/kreq", "lower"},
         {"serve.queue_peak", "count", "lower"},
         {"serve.residual_us", "us", "lower"},
         {"net.req_encode_us", "us", "lower"},
