@@ -142,7 +142,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=40)
+    parser.add_argument("--seconds", type=float, default=50)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--selftest", action="store_true")
     args = parser.parse_args()

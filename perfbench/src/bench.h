@@ -115,6 +115,9 @@ std::string respell(const std::string &canonical, dms::Rng &rng,
 /** The paper matrix setup of one sweep (fig 4-6 columns). */
 dms::RunnerOptions matrixOptions(int jobs);
 
+/** Jobs of the parallel runMatrix the traced run compares with one. */
+int matrixJobs(int cpus);
+
 /** One named metric value. */
 struct Metric
 {

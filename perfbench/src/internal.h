@@ -40,14 +40,6 @@ median(std::vector<double> v)
     return percentile(std::move(v), 50);
 }
 
-/**
- * Mean of @p v without its lowest and highest 10%. On a host that
- * flips between fast and slow spells, a median snaps to whichever
- * spell covered most of a run; this mean moves with the share of
- * each, and still drops the odd stalled batch.
- */
-double trimmedMean(std::vector<double> v);
-
 /** Counter @p name of a metrics snapshot, 0 when absent. */
 std::uint64_t counterOf(const dms::obs::MetricsSnapshot &snap,
                         const char *name);
@@ -126,19 +118,24 @@ struct Sample
     dms::CompileService::ResultPtr result;
 };
 
+/** Share of each batch's latencies, the slowest, kept in LoopStats. */
+inline constexpr double kTailShare = 0.02;
+
 /** What a closed-loop phase measured. */
 struct LoopStats
 {
     std::vector<double> batchRps;
     std::vector<double> batchP50Ms;
     std::vector<double> batchP99Ms;
+    std::vector<double> batchCpuMs; ///< process CPU per request
+    /** Each batch's slowest kTailShare of latencies, for pooled p99s. */
+    std::vector<std::vector<double>> batchTailMs;
     long requests = 0; ///< measured requests attempted
     long served = 0;   ///< ended Ok or Unschedulable
     long ok = 0;
     double sumIi = 0;
     double sumMii = 0;
     double seconds = 0;    ///< measured wall time
-    double cpuSeconds = 0; ///< process CPU during measured batches
     std::vector<Sample> samples;
 };
 

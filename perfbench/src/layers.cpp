@@ -730,15 +730,15 @@ runTracedService(const RunArgs &args, const Shape &shape,
 }
 
 Report
-runTracedMatrix(const RunArgs &args, const Shape &shape,
-                const Streams &streams)
+runTracedMatrix(const RunArgs &args, const Streams &streams)
 {
     Report rep;
     rep.config.push_back("\"clients\":0");
     rep.config.push_back("\"workers\":0");
-    rep.config.push_back(strfmt("\"jobs\":%d", shape.jobs));
+    const int jobs = matrixJobs(usableCpus());
+    rep.config.push_back(strfmt("\"jobs\":%d", jobs));
     rep.config.push_back("\"cache_capacity\":0");
-    const RunnerOptions opts = matrixOptions(shape.jobs);
+    const RunnerOptions opts = matrixOptions(jobs);
     const std::vector<Loop> sub = subSuite(streams);
     const std::vector<Cell> cells = matrixCells(sub.size(), opts);
     rep.attempted = static_cast<long>(cells.size());
@@ -828,7 +828,7 @@ runTracedMatrix(const RunArgs &args, const Shape &shape,
     rep.set("eval.cell_p50_us", median(self.compileUs));
     const double t1 = median(serial);
     const double tn = median(parallel);
-    rep.set("eval.parallel_efficiency", t1 / (shape.jobs * tn));
+    rep.set("eval.parallel_efficiency", t1 / (jobs * tn));
     const double max_cell =
         self.compileUs.empty()
             ? 0.0
@@ -837,7 +837,7 @@ runTracedMatrix(const RunArgs &args, const Shape &shape,
     rep.set("eval.cell_max_share", max_cell * 1e-6 / tn);
     rep.note(strfmt("runMatrix over %zu loops: %.4f s at 1 job, %.4f s "
                     "at %d jobs",
-                    sub.size(), t1, tn, shape.jobs));
+                    sub.size(), t1, tn, jobs));
 
     // runMatrix takes no service, socket or submit path.
     zero(rep, {"serve.hit_rate", "serve.evictions_per_kreq",
@@ -861,7 +861,7 @@ runTraced(const RunArgs &args)
     const Shape shape = shapeOf(args.workload, usableCpus());
     const Streams streams(args.seed);
     return args.workload == Workload::PaperMatrix
-               ? runTracedMatrix(args, shape, streams)
+               ? runTracedMatrix(args, streams)
                : runTracedService(args, shape, streams);
 }
 

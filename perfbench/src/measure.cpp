@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
 #include <thread>
 
@@ -39,8 +40,8 @@ constexpr std::uint64_t kSamplePeriod = 16;
 constexpr int kSampleCap = 256;
 
 /** Set-ups per run, half before and half after the timed phase;
- *  setup_s is their trimmed mean. */
-constexpr int kSetups = 40;
+ *  setup_s is their fast decile, like the timing metrics. */
+constexpr int kSetups = 100;
 
 /** Matrix cells checked per paper_matrix run (about). */
 constexpr std::uint64_t kCellSamplePeriod = 400;
@@ -60,6 +61,62 @@ rigShape(const Shape &shape)
     rs.clients = shape.clients;
     rs.cacheCapacity = shape.cacheCapacity;
     return rs;
+}
+
+/**
+ * Share of a run's batches, the fastest by rps, that its timing
+ * metrics come from. A shared host's slow spells make batches slower,
+ * never faster, so the fast end tracks the program and not the share
+ * of slow spells in a run.
+ */
+constexpr double kFastShare = 0.10;
+
+/** Timing metrics of a run's fastest batches. */
+struct FastBatches
+{
+    size_t batches = 0;
+    double rps = 0;   ///< mean batch rps
+    double p50Ms = 0; ///< median of the batches' p50s
+    double p99Ms = 0; ///< p99 of the batches' pooled latencies
+    double cpuMs = 0; ///< mean process CPU per request
+};
+
+FastBatches
+fastBatches(const LoopStats &st, size_t batch)
+{
+    FastBatches f;
+    std::vector<size_t> order(st.batchRps.size());
+    for (size_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        return st.batchRps[a] > st.batchRps[b];
+    });
+    f.batches = std::max<size_t>(
+        1, static_cast<size_t>(std::lround(kFastShare * order.size())));
+    f.batches = std::min(f.batches, order.size());
+    if (f.batches == 0)
+        return f;
+    std::vector<double> p50;
+    std::vector<double> tail;
+    for (size_t k = 0; k < f.batches; ++k) {
+        const size_t b = order[k];
+        f.rps += st.batchRps[b];
+        f.cpuMs += st.batchCpuMs[b];
+        p50.push_back(st.batchP50Ms[b]);
+        tail.insert(tail.end(), st.batchTailMs[b].begin(),
+                    st.batchTailMs[b].end());
+    }
+    f.rps /= static_cast<double>(f.batches);
+    f.cpuMs /= static_cast<double>(f.batches);
+    f.p50Ms = median(std::move(p50));
+    // Nearest-rank p99 of the pooled samples, counted from the top;
+    // each batch kept its slowest kTailShare, which covers the rank.
+    const double pooled = static_cast<double>(f.batches * batch);
+    const size_t from_top = static_cast<size_t>(
+        pooled - std::ceil(0.99 * pooled) + 1);
+    std::sort(tail.begin(), tail.end(), std::greater<>());
+    f.p99Ms = tail[std::min(from_top, tail.size()) - 1];
+    return f;
 }
 
 } // namespace
@@ -186,25 +243,30 @@ runService(const RunArgs &args, const Shape &shape)
         rep.fail(strfmt("%ld of %ld requests failed", rep.failed,
                         requests));
 
-    rep.set("rps", trimmedMean(st.batchRps));
-    rep.set("latency_p50_ms", trimmedMean(st.batchP50Ms));
-    rep.set("latency_p99_ms", trimmedMean(st.batchP99Ms));
+    const FastBatches fast =
+        fastBatches(st, static_cast<size_t>(shape.batch));
+    rep.set("rps", fast.rps);
+    rep.set("latency_p50_ms", fast.p50Ms);
+    rep.set("latency_p99_ms", fast.p99Ms);
     rep.set("served_frac",
             static_cast<double>(requests - rep.failed) / requests);
     rep.set("ii_over_mii", st.sumMii > 0 ? st.sumIi / st.sumMii : 0.0);
     rep.set("rel_cycles", checker.relCycles());
-    rep.set("cpu_ms_per_req", st.cpuSeconds * 1e3 / requests);
+    rep.set("cpu_ms_per_req", fast.cpuMs);
     rep.set("peak_rss_mb", phase.rssMb);
-    rep.set("setup_s", trimmedMean(setups));
+    rep.set("setup_s", percentile(setups, 100 * kFastShare));
 
-    rep.note(strfmt("set-up: %d times, min %.3f ms, median %.3f ms, "
-                    "max %.3f ms",
+    rep.note(strfmt("set-up: %d times, min %.3f ms, p10 %.3f ms, "
+                    "median %.3f ms, max %.3f ms",
                     kSetups, percentile(setups, 0) * 1e3,
-                    median(setups) * 1e3, percentile(setups, 100) * 1e3));
+                    percentile(setups, 10) * 1e3, median(setups) * 1e3,
+                    percentile(setups, 100) * 1e3));
     rep.note(strfmt("%s: %ld requests in %zu batches, %.3f s "
-                    "measured, %zu latency samples per batch p50/p99",
+                    "measured; timing from the fastest %zu batches "
+                    "(%zu latency samples)",
                     workloadName(w), st.requests, st.batchRps.size(),
-                    st.seconds, static_cast<size_t>(shape.batch)));
+                    st.seconds, fast.batches,
+                    fast.batches * static_cast<size_t>(shape.batch)));
     const auto spread = [&](const char *what, const std::vector<double> &v,
                             double scale) {
         std::string line = strfmt("batch %s:", what);
@@ -215,6 +277,7 @@ runService(const RunArgs &args, const Shape &shape)
     spread("rps", st.batchRps, 1);
     spread("p50_us", st.batchP50Ms, 1e3);
     spread("p99_us", st.batchP99Ms, 1e3);
+    spread("cpu_us_per_req", st.batchCpuMs, 1e3);
     rep.note(strfmt("service deltas: requests %llu hits %llu misses "
                     "%llu evictions %llu",
                     static_cast<unsigned long long>(
@@ -278,9 +341,14 @@ checkCell(const Loop &loop, const CellSample &cell)
 Report
 runPaperMatrix(const RunArgs &args, const Shape &shape)
 {
+    std::unique_ptr<OneCpu> pin;
+    if (shape.placement == Placement::OneCpu)
+        pin = std::make_unique<OneCpu>();
     Report rep;
     shapeConfig(rep, shape, args);
-    rep.config.push_back(strfmt("\"cpus\":%d", usableCpus()));
+    rep.config.push_back(strfmt(
+        "\"cpus\":%d",
+        shape.placement == Placement::OneCpu ? 1 : usableCpus()));
     const Streams streams(args.seed);
     const std::vector<Loop> suite = standardSuite();
     const RunnerOptions opts = matrixOptions(shape.jobs);
@@ -303,22 +371,20 @@ runPaperMatrix(const RunArgs &args, const Shape &shape)
 
     // The suite cut into fixed runMatrix calls of `chunk`
     // consecutive loops; each pass makes every call once, in a
-    // seeded order. A call's latency is its trimmed mean over the
-    // passes.
+    // seeded order. A call's wall and CPU time are its fastest over
+    // the passes: a shared host's slow spells only ever add time.
     const size_t chunk = static_cast<size_t>(shape.batch);
     std::vector<std::vector<Loop>> calls((suite.size() + chunk - 1) /
                                          chunk);
     for (size_t i = 0; i < suite.size(); ++i)
         calls[i / chunk].push_back(suite[i]);
-    std::vector<std::vector<double>> call_ms(calls.size());
+    std::vector<double> best_s(calls.size(), 0);
+    std::vector<double> best_cpu(calls.size(), 0);
 
-    std::vector<double> pass_rps;
     std::vector<CellSample> samples;
     double measured = 0;
-    double cpu = 0;
     long cells = 0;
-    double partial_cells = 0;
-    double partial_seconds = 0;
+    long passes = 0;
     double sum_ii = 0;
     double sum_mii = 0;
     double dms_cycles = 0;
@@ -326,8 +392,6 @@ runPaperMatrix(const RunArgs &args, const Shape &shape)
     for (long pass = 0; measured < args.seconds; ++pass) {
         const std::vector<size_t> order =
             streams.passOrder(calls.size(), pass);
-        double pass_seconds = 0;
-        long pass_cells = 0;
         size_t k = 0;
         for (; k < order.size() && measured < args.seconds; ++k) {
             const std::vector<Loop> &loops = calls[order[k]];
@@ -335,14 +399,13 @@ runPaperMatrix(const RunArgs &args, const Shape &shape)
             const double t0 = nowSeconds();
             const std::vector<ConfigRun> m = runMatrix(loops, opts);
             const double dt = nowSeconds() - t0;
-            cpu += cpuSeconds() - c0;
+            const double cpu = cpuSeconds() - c0;
             measured += dt;
-            pass_seconds += dt;
-            call_ms[order[k]].push_back(dt * 1e3);
-            const long n = static_cast<long>(loops.size() *
-                                             cells_per_loop);
-            pass_cells += n;
-            cells += n;
+            double &best = best_s[order[k]];
+            best = best == 0 ? dt : std::min(best, dt);
+            double &best_c = best_cpu[order[k]];
+            best_c = best_c == 0 ? cpu : std::min(best_c, cpu);
+            cells += static_cast<long>(loops.size() * cells_per_loop);
             if (pass != 0)
                 continue;
 
@@ -375,21 +438,23 @@ runPaperMatrix(const RunArgs &args, const Shape &shape)
                 }
             }
         }
-        if (k == order.size()) {
-            pass_rps.push_back(pass_cells / pass_seconds);
-        } else {
-            partial_cells += static_cast<double>(pass_cells);
-            partial_seconds += pass_seconds;
-        }
+        if (k == order.size())
+            ++passes;
     }
-    std::vector<double> chunk_ms;
-    for (const std::vector<double> &ms : call_ms) {
-        if (!ms.empty())
-            chunk_ms.push_back(trimmedMean(ms));
+    // The fastest sweep: every call once at its best time. A run too
+    // short for one pass covers the calls it made.
+    std::vector<double> call_ms;
+    double sweep_s = 0;
+    double sweep_cpu = 0;
+    double sweep_cells = 0;
+    for (size_t c = 0; c < calls.size(); ++c) {
+        if (best_s[c] == 0)
+            continue;
+        call_ms.push_back(best_s[c] * 1e3);
+        sweep_s += best_s[c];
+        sweep_cpu += best_cpu[c];
+        sweep_cells += static_cast<double>(calls[c].size() * cells_per_loop);
     }
-    const size_t complete = pass_rps.size();
-    if (complete == 0 && partial_seconds > 0)
-        pass_rps.push_back(partial_cells / partial_seconds);
     const double rss = peakRssMb();
     setUp(kSetups / 2, kSetups);
 
@@ -405,22 +470,23 @@ runPaperMatrix(const RunArgs &args, const Shape &shape)
     const long attempted = std::max(cells, 1L);
     rep.attempted = attempted;
     rep.failed = std::min(attempted, check_failures);
-    rep.set("rps", trimmedMean(pass_rps));
-    rep.set("latency_p50_ms", percentile(chunk_ms, 50));
-    rep.set("latency_p99_ms", percentile(chunk_ms, 99));
+    rep.set("rps", sweep_cells / sweep_s);
+    rep.set("latency_p50_ms", percentile(call_ms, 50));
+    rep.set("latency_p99_ms", percentile(call_ms, 99));
     rep.set("served_frac",
             static_cast<double>(attempted - rep.failed) / attempted);
     rep.set("ii_over_mii", sum_mii > 0 ? sum_ii / sum_mii : 0.0);
     rep.set("rel_cycles",
             ims_cycles > 0 ? dms_cycles / ims_cycles : 0.0);
-    rep.set("cpu_ms_per_req", cpu * 1e3 / attempted);
+    rep.set("cpu_ms_per_req", sweep_cpu * 1e3 / sweep_cells);
     rep.set("peak_rss_mb", rss);
-    rep.set("setup_s", trimmedMean(setups));
+    rep.set("setup_s", percentile(setups, 100 * kFastShare));
     rep.note(strfmt("paper_matrix: %zu loops x %d cluster counts x 2 "
                     "machines as %zu runMatrix calls of %zu loops; %ld "
-                    "cells, %zu complete passes, %.3f s measured",
+                    "cells, %ld complete passes, %.3f s measured; "
+                    "fastest sweep %.3f s",
                     suite.size(), opts.maxClusters, calls.size(), chunk,
-                    cells, complete, measured));
+                    cells, passes, measured, sweep_s));
     rep.note(strfmt("check: %zu sampled cells re-run directly and "
                     "simulated, %ld mismatches",
                     samples.size(), check_failures));
@@ -453,19 +519,6 @@ peakRssMb()
     rusage ru{};
     getrusage(RUSAGE_SELF, &ru);
     return static_cast<double>(ru.ru_maxrss) / 1024.0;
-}
-
-double
-trimmedMean(std::vector<double> v)
-{
-    if (v.empty())
-        return 0.0;
-    std::sort(v.begin(), v.end());
-    const size_t cut = v.size() / 10;
-    double sum = 0;
-    for (size_t i = cut; i < v.size() - cut; ++i)
-        sum += v[i];
-    return sum / static_cast<double>(v.size() - 2 * cut);
 }
 
 double
@@ -683,10 +736,15 @@ runClosedLoop(Rig &rig, const Streams &streams, Workload w,
         }
         stats.batchRps.push_back(static_cast<double>(n) / wall);
         stats.batchP50Ms.push_back(percentile(lat, 50));
-        stats.batchP99Ms.push_back(percentile(std::move(lat), 99));
+        stats.batchP99Ms.push_back(percentile(lat, 99));
+        stats.batchCpuMs.push_back(cpu * 1e3 / static_cast<double>(n));
+        const size_t tail = static_cast<size_t>(
+            std::ceil(kTailShare * static_cast<double>(n)));
+        std::nth_element(lat.begin(), lat.begin() + (tail - 1), lat.end(),
+                         std::greater<>());
+        stats.batchTailMs.emplace_back(lat.begin(), lat.begin() + tail);
         stats.requests += static_cast<long>(n);
         stats.seconds += wall;
-        stats.cpuSeconds += cpu;
     };
 
     const auto crew = [&](int c) {

@@ -66,30 +66,33 @@ Shape
 shapeOf(Workload w, int cpus)
 {
     Shape s;
-    // Two clients and two workers: four busy threads at most, and
-    // never more than the machine has.
-    const int half = std::clamp(cpus / 2, 1, 2);
-    s.clients = half;
-    s.workers = half;
     s.cacheCapacity = ServeOptions().cacheCapacity;
-    // Workloads that hand every request to another thread run on one
-    // CPU: on a small VM, cross-CPU wake-ups swing with the host's
-    // load. Cache hits hand nothing off, and their CPU-bound clients
-    // would preempt each other mid-request on one CPU.
+    // Every workload runs on one CPU: on a small VM whose host is
+    // shared, cross-CPU wake-ups, a second busy client and parallel
+    // jobs all swing with the host's load.
+    s.placement = Placement::OneCpu;
     switch (w) {
     case Workload::ColdUnique:
+        // Two clients and two workers: the queue, the locks and the
+        // interleaving of two clients are exercised.
+        s.clients = std::clamp(cpus / 2, 1, 2);
+        s.workers = s.clients;
         s.batch = 1024;
-        s.placement = Placement::OneCpu;
         break;
     case Workload::RespelledHits:
-        s.batch = 4096;
+        // A hit runs on the client thread; the worker stays idle.
+        s.clients = 1;
+        s.workers = 1;
+        s.batch = 1024;
         break;
     case Workload::PaperMatrix:
         s.clients = 0;
         s.workers = 0;
         s.cacheCapacity = 0;
-        s.jobs = std::clamp(cpus, 1, 4);
-        s.batch = 26; // loops per runMatrix call: 1274 = 49 * 26
+        // One job; the traced run measures the runner's parallel
+        // efficiency at matrixJobs().
+        s.jobs = 1;
+        s.batch = 13; // loops per runMatrix call: 1274 = 98 * 13
         break;
     }
     return s;
@@ -200,6 +203,12 @@ respell(const std::string &canonical, Rng &rng, long index)
         out += '\n';
     }
     return out;
+}
+
+int
+matrixJobs(int cpus)
+{
+    return std::clamp(cpus, 1, 4);
 }
 
 RunnerOptions
