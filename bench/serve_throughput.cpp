@@ -33,23 +33,21 @@
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "eval/runner.h"
 #include "machine/desc.h"
+#include "obs/metrics.h"
 #include "serve/loadgen.h"
 #include "serve/net.h"
 #include "serve/service.h"
 #include "support/diag.h"
-#include "support/stats.h"
 #include "support/faultinject.h"
 #include "support/strings.h"
 #include "workload/suite.h"
@@ -70,6 +68,22 @@ struct NetPoint
     double p99Ms = 0;
     double msgBytes = 0; ///< mean request-line size on the wire
 };
+
+/** Counter @p name of @p m; 0 when the snapshot lacks it. */
+std::uint64_t
+counterOf(const obs::MetricsSnapshot &m, const char *name)
+{
+    const auto *c = m.findCounter(name);
+    return c != nullptr ? c->value : 0;
+}
+
+/** How much counter @p name grew between two snapshots. */
+std::uint64_t
+counterDelta(const obs::MetricsSnapshot &before,
+             const obs::MetricsSnapshot &after, const char *name)
+{
+    return counterOf(after, name) - counterOf(before, name);
+}
 
 /**
  * Extract warm.rps from a baseline BENCH_serve.json (string scan;
@@ -144,9 +158,10 @@ main()
             kSeed, [&](int i, Rng &) -> std::string {
                 return cold_texts[static_cast<size_t>(i)];
             });
-        ServeStats s = service.stats();
-        DMS_ASSERT(s.hits == 0, "cold phase hit the cache (%llu)",
-                   static_cast<unsigned long long>(s.hits));
+        const std::uint64_t hits =
+            counterOf(service.metrics(), "serve.hits");
+        DMS_ASSERT(hits == 0, "cold phase hit the cache (%llu)",
+                   static_cast<unsigned long long>(hits));
         cold_rps = cold.rps();
         std::printf("cold: %d requests in %.3f s = %.0f req/s\n",
                     cold.requests, cold.seconds, cold_rps);
@@ -177,11 +192,11 @@ main()
                 warm_rps / cold_rps);
 
     // --- mixed: the zipf steady state with cold churn -----------
-    // Phase-local numbers: hit rate from the stats delta across
+    // Phase-local numbers: hit rate from the counter deltas across
     // the hammer, latency percentiles measured client-side inside
-    // it — the service's own ServeStats span its whole lifetime
+    // it — the service's own metrics span its whole lifetime
     // (prime + warm included) and would overstate both.
-    const ServeStats before = service.stats();
+    const obs::MetricsSnapshot before = service.metrics();
     const int mixed_requests = cold_requests * 2;
     HammerResult mixed_run = hammerService(
         service, mixed_requests, clients, machine_text, "dms",
@@ -190,12 +205,11 @@ main()
                 return hot_texts[zipf.pick(rng)];
             return coldLoopText(kSeed ^ 0xc01dULL, i);
         });
-    const ServeStats after = service.stats();
-    const std::uint64_t mixed_hits =
-        (after.hits - before.hits) +
-        (after.coalesced - before.coalesced);
+    const obs::MetricsSnapshot after = service.metrics();
     const std::uint64_t mixed_coalesced =
-        after.coalesced - before.coalesced;
+        counterDelta(before, after, "serve.coalesced");
+    const std::uint64_t mixed_hits =
+        counterDelta(before, after, "serve.hits") + mixed_coalesced;
     const double mixed_hit_rate =
         static_cast<double>(mixed_hits) /
         static_cast<double>(mixed_requests);
@@ -217,7 +231,7 @@ main()
     double shed_rate = 0;
     std::uint64_t injected = 0;
     HammerResult degraded;
-    ServeStats degraded_stats;
+    obs::MetricsSnapshot degraded_metrics;
     {
         ServeOptions dopts;
         dopts.queueDepth = 8;
@@ -246,13 +260,16 @@ main()
             rp);
         injected = faultsInjected();
         disarmFaults();
-        degraded_stats = dservice.stats();
+        degraded_metrics = dservice.metrics();
         degraded_rps = degraded.rps();
-        shed_rate = degraded_stats.requests > 0
-                        ? static_cast<double>(degraded_stats.shed) /
-                              static_cast<double>(
-                                  degraded_stats.requests)
-                        : 0.0;
+        const std::uint64_t requests =
+            counterOf(degraded_metrics, "serve.requests");
+        shed_rate =
+            requests > 0
+                ? static_cast<double>(
+                      counterOf(degraded_metrics, "serve.shed")) /
+                      static_cast<double>(requests)
+                : 0.0;
         std::printf(
             "degraded: %d requests in %.3f s = %.0f req/s, "
             "%llu injected, shed rate %.1f%%, %d retries, "
@@ -277,7 +294,7 @@ main()
         const int net_requests = std::max(400, cold_requests);
         for (size_t pt = 0; pt < 2; ++pt) {
             const int nc = sweep[pt];
-            const ServeStats before = server.stats();
+            const obs::MetricsSnapshot before = server.metrics();
             HammerResult run = hammerNetwork(
                 "127.0.0.1", server.port(), net_requests, nc,
                 machine_text, "dms",
@@ -288,24 +305,24 @@ main()
                     return coldLoopText(
                         kSeed ^ (0xbeefULL + pt), i);
                 });
-            const ServeStats after = server.stats();
+            const obs::MetricsSnapshot after = server.metrics();
             NetPoint point;
             point.clients = nc;
             point.requests = run.requests;
             point.rps = run.rps();
             point.hitRate =
-                static_cast<double>((after.hits - before.hits) +
-                                    (after.coalesced -
-                                     before.coalesced)) /
+                static_cast<double>(
+                    counterDelta(before, after, "serve.hits") +
+                    counterDelta(before, after, "serve.coalesced")) /
                 static_cast<double>(std::max(run.requests, 1));
             point.p50Ms = run.p50Ms;
             point.p99Ms = run.p99Ms;
             const std::uint64_t line_count =
-                after.netRequests - before.netRequests;
+                counterDelta(before, after, "net.requests");
             point.msgBytes =
                 line_count > 0
-                    ? static_cast<double>(after.netBytesIn -
-                                          before.netBytesIn) /
+                    ? static_cast<double>(counterDelta(
+                          before, after, "net.bytes_in")) /
                           static_cast<double>(line_count)
                     : 0.0;
             std::printf(
@@ -318,49 +335,6 @@ main()
             net_points.push_back(point);
         }
         server.stop();
-    }
-
-    // --- stats snapshot cost: the observability hot path --------
-    // stats() is now relaxed atomic loads plus a histogram sweep.
-    // Measure it against the design it replaced — a mutex-guarded
-    // Samples store whose snapshot locks and copies every recorded
-    // latency — rebuilt here at this run's real sample count, so
-    // the JSON records what polling a loaded daemon costs.
-    double snapshot_ns = 0;
-    double snapshot_mutex_ns = 0;
-    {
-        constexpr int kIters = 20000;
-        volatile std::uint64_t sink = 0;
-        auto t0 = std::chrono::steady_clock::now();
-        for (int i = 0; i < kIters; ++i)
-            sink = sink + service.stats().requests;
-        auto t1 = std::chrono::steady_clock::now();
-        snapshot_ns =
-            std::chrono::duration<double, std::nano>(t1 - t0)
-                .count() /
-            kIters;
-
-        Samples old_store;
-        const std::uint64_t recorded =
-            service.stats().latencySamples;
-        for (std::uint64_t i = 0; i < recorded; ++i)
-            old_store.add(static_cast<double>(i % 97));
-        std::mutex old_mutex;
-        t0 = std::chrono::steady_clock::now();
-        for (int i = 0; i < kIters; ++i) {
-            std::lock_guard<std::mutex> lock(old_mutex);
-            Samples copy = old_store;
-            sink = sink + copy.count();
-        }
-        t1 = std::chrono::steady_clock::now();
-        snapshot_mutex_ns =
-            std::chrono::duration<double, std::nano>(t1 - t0)
-                .count() /
-            kIters;
-        std::printf("stats snapshot: %.0f ns atomic vs %.0f ns "
-                    "mutex+copy (%llu samples)\n",
-                    snapshot_ns, snapshot_mutex_ns,
-                    static_cast<unsigned long long>(recorded));
     }
 
     std::string json = "{";
@@ -387,10 +361,12 @@ main()
         degraded.requests, degraded_rps, degraded.p50Ms,
         degraded.p99Ms, shed_rate,
         static_cast<unsigned long long>(injected),
-        static_cast<unsigned long long>(degraded_stats.failed),
-        static_cast<unsigned long long>(degraded_stats.expired),
         static_cast<unsigned long long>(
-            degraded_stats.quarantined),
+            counterOf(degraded_metrics, "serve.failed")),
+        static_cast<unsigned long long>(
+            counterOf(degraded_metrics, "serve.expired")),
+        static_cast<unsigned long long>(
+            counterOf(degraded_metrics, "serve.quarantined")),
         degraded.retries);
     json += "\"network\":[";
     for (size_t pt = 0; pt < net_points.size(); ++pt) {
@@ -403,9 +379,6 @@ main()
             p.hitRate, p.p50Ms, p.p99Ms, p.msgBytes);
     }
     json += "],";
-    json += strfmt("\"stats_snapshot_ns\":%.1f,", snapshot_ns);
-    json += strfmt("\"stats_snapshot_mutex_ns\":%.1f,",
-                   snapshot_mutex_ns);
     json += strfmt("\"warm_vs_cold\":%.1f}",
                    warm_rps / cold_rps);
 

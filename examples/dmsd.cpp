@@ -12,7 +12,7 @@
  *   dmsd [options] --listen PORT     TCP daemon (serve/net.h wire
  *                                    protocol; 0 = ephemeral port;
  *                                    SIGTERM/SIGINT shut down
- *                                    cleanly: queue drained, stats
+ *                                    cleanly: queue drained, report
  *                                    printed, exit 0)
  *   dmsd [options] --connect HOST:PORT --load N
  *                                    network client: the same zipf
@@ -39,9 +39,6 @@
  *                      non-blocking trySubmit path, rejecting when
  *                      the queue stays full this long (default:
  *                      blocking submit)
- *   --stats-out FILE   load-gen: write the final ServeStats
- *                      snapshot in the `servestats v1` text form
- *                      (lintable with dmslint)
  *   --metrics-out FILE write the final metrics snapshot in the
  *                      `dmsmetrics v1` text form (lintable with
  *                      dmslint); over the wire in --connect mode
@@ -50,8 +47,10 @@
  *                      under DMS_TRACE=1; lintable with dmslint);
  *                      over the wire in --connect mode
  *
- * DMS_METRICS=1 additionally prints the metrics snapshot text to
- * stdout at the end of every mode.
+ * Every mode ends with a serving report (serve:, cache:, faults:,
+ * net: and latency: lines) read off the final metrics snapshot —
+ * in --connect mode the daemon's, fetched with the `metrics` verb.
+ * DMS_METRICS=1 additionally prints the snapshot text to stdout.
  *
  * With DMS_FAULTS armed (see support/faultinject.h) dmsd prints
  * the per-site injection counters and treats fault-driven
@@ -117,28 +116,6 @@ writeTextFile(const std::string &path, const std::string &text)
     std::fclose(f);
 }
 
-/**
- * The observability artifacts every mode can emit: the metrics
- * snapshot (dmsmetrics v1 text) to --metrics-out and/or stdout
- * (DMS_METRICS=1), and the collected traces (Chrome trace_event
- * JSON; spans only accumulate under DMS_TRACE=1) to --trace-out.
- */
-void
-emitObsArtifacts(const obs::MetricsSnapshot &metrics,
-                 const std::string &metrics_out,
-                 const std::string &trace_out)
-{
-    const std::string text = obs::metricsToText(metrics);
-    if (envInt("DMS_METRICS", 0, 0) > 0)
-        std::fputs(text.c_str(), stdout);
-    if (!metrics_out.empty())
-        writeTextFile(metrics_out, text);
-    if (!trace_out.empty())
-        writeTextFile(trace_out,
-                      obs::tracesToJson(
-                          obs::TraceLog::instance().traces()));
-}
-
 const char *
 sourceName(CompileService::Source s)
 {
@@ -163,42 +140,88 @@ sourceName(CompileService::Source s)
     return "?";
 }
 
-void
-printStatsSnapshot(const ServeStats &s)
+/** Counter @p name of @p m; 0 when the snapshot lacks it. */
+std::uint64_t
+counterOf(const obs::MetricsSnapshot &m, const char *name)
 {
+    const auto *c = m.findCounter(name);
+    return c != nullptr ? c->value : 0;
+}
+
+/** Gauge @p name of @p m; 0 when the snapshot lacks it. */
+double
+gaugeOf(const obs::MetricsSnapshot &m, const char *name)
+{
+    const auto *g = m.findGauge(name);
+    return g != nullptr ? g->value : 0.0;
+}
+
+/**
+ * End-of-run output shared by every mode: the serving report read
+ * off @p m, then the snapshot's dmsmetrics v1 text to
+ * --metrics-out and/or stdout (DMS_METRICS=1).
+ */
+void
+reportMetrics(const obs::MetricsSnapshot &m,
+              const std::string &metrics_out)
+{
+    const std::uint64_t requests = counterOf(m, "serve.requests");
+    const std::uint64_t hits = counterOf(m, "serve.hits");
+    const std::uint64_t coalesced = counterOf(m, "serve.coalesced");
+    const double hit_rate =
+        requests == 0 ? 0.0
+                      : static_cast<double>(hits + coalesced) /
+                            static_cast<double>(requests);
     std::printf("serve: %llu requests, %llu hits, %llu coalesced, "
                 "%llu cold, %llu invalid (hit rate %.1f%%)\n",
-                static_cast<unsigned long long>(s.requests),
-                static_cast<unsigned long long>(s.hits),
-                static_cast<unsigned long long>(s.coalesced),
-                static_cast<unsigned long long>(s.misses),
-                static_cast<unsigned long long>(s.invalid),
-                s.hitRate() * 100.0);
-    std::printf("cache: %llu entries resident, %llu evicted, "
-                "%llu retired; queue peak depth %d/%d\n",
-                static_cast<unsigned long long>(s.cached),
-                static_cast<unsigned long long>(s.evictions),
-                static_cast<unsigned long long>(s.retired),
-                s.peakQueueDepth, s.queueCapacity);
-    if (s.failed + s.expired + s.rejected > 0 || s.degraded) {
+                static_cast<unsigned long long>(requests),
+                static_cast<unsigned long long>(hits),
+                static_cast<unsigned long long>(coalesced),
+                static_cast<unsigned long long>(
+                    counterOf(m, "serve.misses")),
+                static_cast<unsigned long long>(
+                    counterOf(m, "serve.invalid")),
+                hit_rate * 100.0);
+    std::printf("cache: %.0f entries resident, %llu evicted, "
+                "%llu retired; queue peak depth %.0f/%.0f\n",
+                gaugeOf(m, "cache.entries"),
+                static_cast<unsigned long long>(
+                    counterOf(m, "cache.evictions")),
+                static_cast<unsigned long long>(
+                    counterOf(m, "cache.retired")),
+                gaugeOf(m, "serve.queue_depth_peak"),
+                gaugeOf(m, "serve.queue_capacity"));
+    const std::uint64_t failed = counterOf(m, "serve.failed");
+    const std::uint64_t expired = counterOf(m, "serve.expired");
+    const std::uint64_t shed = counterOf(m, "serve.shed");
+    const std::uint64_t quarantined =
+        counterOf(m, "serve.quarantined");
+    const bool degraded = gaugeOf(m, "serve.degraded") != 0.0;
+    if (failed + expired + shed + quarantined > 0 || degraded) {
         std::printf(
             "faults: %llu failed, %llu expired, %llu shed, "
             "%llu quarantined%s\n",
-            static_cast<unsigned long long>(s.failed),
-            static_cast<unsigned long long>(s.expired),
-            static_cast<unsigned long long>(s.shed),
-            static_cast<unsigned long long>(s.quarantined),
-            s.degraded ? " [degraded]" : "");
+            static_cast<unsigned long long>(failed),
+            static_cast<unsigned long long>(expired),
+            static_cast<unsigned long long>(shed),
+            static_cast<unsigned long long>(quarantined),
+            degraded ? " [degraded]" : "");
     }
-    if (s.netConnections > 0) {
+    const std::uint64_t connections =
+        counterOf(m, "net.connections");
+    if (connections > 0) {
         std::printf(
             "net: %llu connections, %llu requests, %llu framing "
             "rejects, %llu bytes in, %llu bytes out\n",
-            static_cast<unsigned long long>(s.netConnections),
-            static_cast<unsigned long long>(s.netRequests),
-            static_cast<unsigned long long>(s.netFramingRejects),
-            static_cast<unsigned long long>(s.netBytesIn),
-            static_cast<unsigned long long>(s.netBytesOut));
+            static_cast<unsigned long long>(connections),
+            static_cast<unsigned long long>(
+                counterOf(m, "net.requests")),
+            static_cast<unsigned long long>(
+                counterOf(m, "net.framing_rejects")),
+            static_cast<unsigned long long>(
+                counterOf(m, "net.bytes_in")),
+            static_cast<unsigned long long>(
+                counterOf(m, "net.bytes_out")));
     }
     if (faultsArmed()) {
         std::printf("injected: %llu faults across %zu sites\n",
@@ -215,19 +238,34 @@ printStatsSnapshot(const ServeStats &s)
                                 site.hits));
         }
     }
-    if (s.latencySamples > 0) {
+    const auto *latency = m.findHistogram("serve.latency_ms");
+    if (latency != nullptr && latency->hist.count > 0) {
+        const obs::HistogramSnapshot &h = latency->hist;
         std::printf("latency: p50 %.3f ms, p90 %.3f ms, p99 %.3f "
                     "ms, max %.3f ms, mean %.3f ms (%llu samples)\n",
-                    s.p50Ms, s.p90Ms, s.p99Ms, s.maxMs, s.meanMs,
-                    static_cast<unsigned long long>(
-                        s.latencySamples));
+                    h.percentile(50), h.percentile(90),
+                    h.percentile(99), h.maxMs, h.mean(),
+                    static_cast<unsigned long long>(h.count));
     }
+
+    const std::string text = obs::metricsToText(m);
+    if (envInt("DMS_METRICS", 0, 0) > 0)
+        std::fputs(text.c_str(), stdout);
+    if (!metrics_out.empty())
+        writeTextFile(metrics_out, text);
 }
 
+/**
+ * Write this process's trace log to --trace-out as Chrome
+ * trace_event JSON (spans only accumulate under DMS_TRACE=1).
+ */
 void
-printStats(const CompileService &service)
+writeTraces(const std::string &trace_out)
 {
-    printStatsSnapshot(service.stats());
+    if (!trace_out.empty())
+        writeTextFile(trace_out,
+                      obs::tracesToJson(
+                          obs::TraceLog::instance().traces()));
 }
 
 /** Shared request skeleton: current machine text and scheduler. */
@@ -352,7 +390,6 @@ runScript(CompileService &service, const std::string &path,
                         sourceName(p.ticket.source));
         }
     }
-    printStats(service);
     return failures == 0 ? 0 : 1;
 }
 
@@ -360,8 +397,7 @@ int
 runLoadGenerator(CompileService &service, int total, int clients,
                  int hot_percent, std::uint64_t seed,
                  const RequestContext &rc,
-                 const RetryPolicy &policy,
-                 const std::string &stats_out)
+                 const RetryPolicy &policy)
 {
     // Hot set: the named kernels, zipf-weighted so a few kernels
     // dominate — the "hot kernels repeat" half of the mix. Cold
@@ -393,9 +429,6 @@ runLoadGenerator(CompileService &service, int total, int clients,
                 res.count(CompileStatus::Expired),
                 res.count(CompileStatus::Rejected),
                 res.count(CompileStatus::Quarantined));
-    printStats(service);
-    if (!stats_out.empty())
-        writeTextFile(stats_out, serveStatsToText(service.stats()));
     // Under an armed fault plan, fault-driven failures are the
     // point of the run: the daemon surviving them *is* the pass.
     // Invalid requests still fail the run — the mix generator
@@ -416,7 +449,6 @@ onShutdownSignal(int)
 
 int
 runDaemon(CompileService &service, int port,
-          const std::string &stats_out,
           const std::string &metrics_out,
           const std::string &trace_out)
 {
@@ -441,11 +473,8 @@ runDaemon(CompileService &service, int port,
     // lines, join every connection; the service destructor then
     // drains the compile queue. Exit 0 is the contract CI greps.
     server.stop();
-    ServeStats s = server.stats();
-    printStatsSnapshot(s);
-    if (!stats_out.empty())
-        writeTextFile(stats_out, serveStatsToText(s));
-    emitObsArtifacts(server.metrics(), metrics_out, trace_out);
+    reportMetrics(server.metrics(), metrics_out);
+    writeTraces(trace_out);
     return 0;
 }
 
@@ -455,7 +484,6 @@ runNetworkLoadGenerator(const std::string &host, int port,
                         std::uint64_t seed,
                         const RequestContext &rc,
                         const RetryPolicy &policy,
-                        const std::string &stats_out,
                         const std::string &metrics_out,
                         const std::string &trace_out)
 {
@@ -496,50 +524,26 @@ runNetworkLoadGenerator(const std::string &host, int port,
                 resolved, res.requests, res.rps(), res.p50Ms,
                 res.p99Ms);
 
-    // Pull the daemon's stats over the wire: the same snapshot the
-    // `stats` verb serves, so the hit-rate lines CI greps (and the
-    // --stats-out artifact dmslint audits) come from the server's
-    // counters, not the client's.
+    // Pull the daemon's metrics over the wire, so the report
+    // lines CI greps (and the --metrics-out artifact dmslint
+    // audits) come from the server's counters, not the client's.
+    // The trace body is empty unless the *daemon* runs under
+    // DMS_TRACE=1.
     NetClient nc;
     std::string error;
-    if (!nc.connect(host, port, 5000, error)) {
-        warn("stats fetch: %s", error.c_str());
-    } else {
-        std::string text;
-        if (!nc.fetchStats(text, error)) {
-            warn("stats fetch: %s", error.c_str());
-        } else {
-            ServeStats s;
-            std::string perr;
-            if (serveStatsFromText(text, s, perr))
-                printStatsSnapshot(s);
-            else
-                warn("stats fetch: %s", perr.c_str());
-            if (!stats_out.empty())
-                writeTextFile(stats_out, text);
-        }
-        // Metrics and traces come over the same wire verbs the
-        // server serves to everyone; the trace body is empty
-        // unless the *daemon* runs under DMS_TRACE=1.
-        if (!metrics_out.empty() ||
-            envInt("DMS_METRICS", 0, 0) > 0) {
-            std::string mtext;
-            if (!nc.fetchMetrics(mtext, error)) {
-                warn("metrics fetch: %s", error.c_str());
-            } else {
-                if (envInt("DMS_METRICS", 0, 0) > 0)
-                    std::fputs(mtext.c_str(), stdout);
-                if (!metrics_out.empty())
-                    writeTextFile(metrics_out, mtext);
-            }
-        }
-        if (!trace_out.empty()) {
-            std::string ttext;
-            if (!nc.fetchTrace(ttext, error))
-                warn("trace fetch: %s", error.c_str());
-            else
-                writeTextFile(trace_out, ttext);
-        }
+    std::string text;
+    obs::MetricsSnapshot snapshot;
+    if (!nc.connect(host, port, 5000, error) ||
+        !nc.fetchMetrics(text, error) ||
+        !obs::metricsFromText(text, snapshot, error))
+        warn("metrics fetch: %s", error.c_str());
+    else
+        reportMetrics(snapshot, metrics_out);
+    if (!trace_out.empty() && nc.connected()) {
+        if (!nc.fetchTrace(text, error))
+            warn("trace fetch: %s", error.c_str());
+        else
+            writeTextFile(trace_out, text);
     }
 
     // Every dispatched request must have resolved to exactly one
@@ -568,7 +572,6 @@ main(int argc, char **argv)
     int listen_port = -1;
     std::string connect_to;
     RetryPolicy policy;
-    std::string stats_out;
     std::string metrics_out;
     std::string trace_out;
 
@@ -615,8 +618,6 @@ main(int argc, char **argv)
             listen_port = nextInt();
         else if (a == "--connect")
             connect_to = next();
-        else if (a == "--stats-out")
-            stats_out = next();
         else if (a == "--metrics-out")
             metrics_out = next();
         else if (a == "--trace-out")
@@ -662,7 +663,7 @@ main(int argc, char **argv)
             std::max(clients, 1),
             std::clamp(hot_percent, 0, 100),
             static_cast<std::uint64_t>(seed), rc, policy,
-            stats_out, metrics_out, trace_out);
+            metrics_out, trace_out);
     }
 
     ServeOptions opts = ServeOptions::fromEnv();
@@ -676,8 +677,8 @@ main(int argc, char **argv)
                 evictPolicyName(opts.eviction));
 
     if (listen_port >= 0)
-        return runDaemon(service, listen_port, stats_out,
-                         metrics_out, trace_out);
+        return runDaemon(service, listen_port, metrics_out,
+                         trace_out);
 
     int code;
     if (!script.empty())
@@ -686,8 +687,8 @@ main(int argc, char **argv)
         code = runLoadGenerator(
             service, load, std::max(clients, 1),
             std::clamp(hot_percent, 0, 100),
-            static_cast<std::uint64_t>(seed), rc, policy,
-            stats_out);
-    emitObsArtifacts(service.metrics(), metrics_out, trace_out);
+            static_cast<std::uint64_t>(seed), rc, policy);
+    reportMetrics(service.metrics(), metrics_out);
+    writeTraces(trace_out);
     return code;
 }

@@ -10,10 +10,9 @@
  * Targets:
  *   FILE           auto-detected: a machine description, a `$C`
  *                  machine sweep template, a loop body in the
- *                  workload/text format, a `servestats v1`
- *                  counter snapshot (dmsd --stats-out), a
- *                  `dmsmetrics v1` snapshot (dmsd --metrics-out),
- *                  or a trace_event JSON export (dmsd --trace-out)
+ *                  workload/text format, a `dmsmetrics v1`
+ *                  snapshot (dmsd --metrics-out), or a trace_event
+ *                  JSON export (dmsd --trace-out)
  *   kernel:NAME    a built-in kernel ("kernel:fir8")
  *   kernel:*       every built-in kernel
  *
@@ -67,7 +66,6 @@ enum class TargetKind {
     Machine,
     Template,
     LoopText,
-    ServeStats,
     Metrics,
     Trace,
 };
@@ -86,9 +84,9 @@ detectKind(const std::string &text)
     }
     if (text.find("$C") != std::string::npos)
         return TargetKind::Template;
-    // A machine description opens with one of its keys, the
-    // snapshot formats with their versioned headers; anything else
-    // is treated as loop text (whose own first key is "loop").
+    // A machine description opens with one of its keys, a metrics
+    // snapshot with its versioned header; anything else is treated
+    // as loop text (whose own first key is "loop").
     for (const std::string &raw : split(text, '\n')) {
         const std::string line = trim(raw);
         if (line.empty() || line[0] == '#')
@@ -99,8 +97,6 @@ detectKind(const std::string &text)
             key == "topology" || key == "regfile" || key == "fus" ||
             key == "latency")
             return TargetKind::Machine;
-        if (key == "servestats")
-            return TargetKind::ServeStats;
         if (key == "dmsmetrics")
             return TargetKind::Metrics;
         break;
@@ -245,9 +241,6 @@ main(int argc, char **argv)
             }
             break;
         }
-        case TargetKind::ServeStats:
-            lintServeStatsText(text, target, sink);
-            break;
         case TargetKind::Metrics:
             lintMetricsText(text, target, sink);
             break;

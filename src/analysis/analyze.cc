@@ -3,7 +3,6 @@
 #include "machine/desc.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/service.h"
 #include "workload/text.h"
 
 namespace dms {
@@ -71,19 +70,6 @@ lintLoop(const Loop &loop, const std::string &subject,
 {
     AnalysisInput input;
     input.loop = &loop;
-    return runChecks(input, subject, sink);
-}
-
-int
-lintServeStatsText(const std::string &text,
-                   const std::string &subject, DiagnosticSink &sink)
-{
-    AnalysisInput input;
-    input.serveStatsText = &text;
-    ServeStats stats;
-    std::string error;
-    if (serveStatsFromText(text, stats, error))
-        input.serveStats = &stats;
     return runChecks(input, subject, sink);
 }
 

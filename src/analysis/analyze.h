@@ -48,15 +48,6 @@ int lintLoop(const Loop &loop, const std::string &subject,
              DiagnosticSink &sink);
 
 /**
- * Lint one `servestats v1` counter snapshot (the text form
- * serveStatsToText emits). Parse failures are reported through the
- * sink like any other finding.
- */
-int lintServeStatsText(const std::string &text,
-                       const std::string &subject,
-                       DiagnosticSink &sink);
-
-/**
  * Lint one `dmsmetrics v1` snapshot (the text form metricsToText
  * emits, `dmsd --metrics-out` writes and the `metrics` wire verb
  * serves). Parse failures are reported through the sink.

@@ -10,7 +10,6 @@ registerBuiltinChecks(CheckRegistry &registry)
     lint::registerScheduleChecks(registry);
     lint::registerQueueChecks(registry);
     lint::registerKernelChecks(registry);
-    lint::registerServeChecks(registry);
     lint::registerObsChecks(registry);
 }
 

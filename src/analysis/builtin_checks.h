@@ -41,7 +41,6 @@ void registerLoopChecks(CheckRegistry &registry);
 void registerScheduleChecks(CheckRegistry &registry);
 void registerQueueChecks(CheckRegistry &registry);
 void registerKernelChecks(CheckRegistry &registry);
-void registerServeChecks(CheckRegistry &registry);
 void registerObsChecks(CheckRegistry &registry);
 
 } // namespace lint

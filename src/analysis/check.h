@@ -35,8 +35,6 @@
 
 namespace dms {
 
-struct ServeStats; // serve/service.h; only audited via pointer here
-
 namespace obs {
 struct MetricsSnapshot; // obs/metrics.h
 struct TraceSpan;       // obs/trace.h
@@ -88,7 +86,6 @@ struct AnalysisInput
     const std::string *machineTemplate = nullptr;
     const std::string *loopText = nullptr;
     const std::string *kernelText = nullptr;
-    const std::string *serveStatsText = nullptr;
     const std::string *metricsText = nullptr;
     const std::string *traceText = nullptr; ///< trace_event JSON
     /// @}
@@ -102,7 +99,6 @@ struct AnalysisInput
     const QueueAllocation *queues = nullptr;
     const SharedAllocation *sharing = nullptr;
     const PipelinedLoop *kernel = nullptr;
-    const ServeStats *serveStats = nullptr; ///< counter snapshot
     const obs::MetricsSnapshot *metrics = nullptr;
 
     /** Span trees grouped by trace, in tid order. */
@@ -171,7 +167,7 @@ class CheckRegistry
     std::vector<std::unique_ptr<Check>> checks_;
 };
 
-/** Registers the builtin machine/loop/schedule/queue/kernel/serve
+/** Registers the builtin machine/loop/schedule/queue/kernel/obs
  * checks. */
 void registerBuiltinChecks(CheckRegistry &registry);
 

@@ -36,8 +36,6 @@ artifactKindName(ArtifactKind kind)
         return "queue-alloc";
     case ArtifactKind::Kernel:
         return "kernel";
-    case ArtifactKind::ServeStats:
-        return "servestats";
     case ArtifactKind::Metrics:
         return "metrics";
     case ArtifactKind::Trace:

@@ -42,7 +42,6 @@ enum class ArtifactKind : std::uint8_t {
     Schedule,         ///< modulo-schedule placements
     QueueAlloc,       ///< queue register allocation
     Kernel,           ///< pipelined kernel / emitted code
-    ServeStats,       ///< serve/service.h counter snapshot
     Metrics,          ///< obs/metrics.h `dmsmetrics v1` snapshot
     Trace,            ///< obs/trace.h trace_event span export
 };

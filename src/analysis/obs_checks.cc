@@ -4,11 +4,12 @@
  * (obs/metrics.h) and trace_event span exports (obs/trace.h). Like
  * every checker family, the audits re-derive their invariants from
  * first principles — summing histogram buckets instead of trusting
- * the count field, re-walking the span tree instead of trusting
- * the writer's nesting — so a bookkeeping bug in the metrics
- * registry or the tracer cannot certify its own output. Locations
- * carry the 1-based line of the offending metric line / span event
- * when the text is available.
+ * the count field, re-deriving the service's accounting identities
+ * from which submit outcomes exist, re-walking the span tree
+ * instead of trusting the writer's nesting — so a bookkeeping bug
+ * in the service, the metrics registry or the tracer cannot
+ * certify its own output. Locations carry the 1-based line of the
+ * offending metric line / span event when the text is available.
  */
 
 #include <cmath>
@@ -49,6 +50,42 @@ metricLine(const std::string *text, const std::string &name)
     }
     return 0;
 }
+
+/**
+ * Reads the metrics an accounting identity names and records
+ * whether each was present. A snapshot is audited for what it
+ * carries: an identity is checked only when complete().
+ */
+class IdentityInputs
+{
+  public:
+    explicit IdentityInputs(const obs::MetricsSnapshot &snapshot)
+        : snapshot_(snapshot)
+    {
+    }
+
+    std::uint64_t
+    counter(const char *name)
+    {
+        const auto *c = snapshot_.findCounter(name);
+        complete_ = complete_ && c != nullptr;
+        return c != nullptr ? c->value : 0;
+    }
+
+    double
+    gauge(const char *name)
+    {
+        const auto *g = snapshot_.findGauge(name);
+        complete_ = complete_ && g != nullptr;
+        return g != nullptr ? g->value : 0.0;
+    }
+
+    bool complete() const { return complete_; }
+
+  private:
+    const obs::MetricsSnapshot &snapshot_;
+    bool complete_ = true;
+};
 
 class MetricsConsistencyCheck final : public BuiltinCheck
 {
@@ -161,21 +198,121 @@ class MetricsConsistencyCheck final : public BuiltinCheck
                                 hits->value)));
         }
 
-        // Network identity (mirrors serve.stats-consistency):
-        // every framing reject was a counted request line.
-        const auto *net_requests =
-            metrics->findCounter("net.requests");
-        const auto *net_rejects =
-            metrics->findCounter("net.framing_rejects");
-        if (net_requests != nullptr && net_rejects != nullptr &&
-            net_rejects->value > net_requests->value)
-            flag("net.framing_rejects",
-                 strfmt("framing rejects %llu exceed request "
-                        "lines %llu",
-                        static_cast<unsigned long long>(
-                            net_rejects->value),
-                        static_cast<unsigned long long>(
-                            net_requests->value)));
+        // Submit accounting. Every submit reaches at most one
+        // exclusive outcome: hit, coalesced, miss (queued — or
+        // shed after counting as a miss), invalid or quarantined.
+        // A submit-path fault can bypass them all and surface as a
+        // Failed/Expired resolution instead, so the outcomes may
+        // undershoot requests — but never by more than failed +
+        // expired, and never overshoot.
+        IdentityInputs serve(*metrics);
+        const std::uint64_t submitted =
+            serve.counter("serve.requests");
+        const std::uint64_t misses = serve.counter("serve.misses");
+        const std::uint64_t outcomes =
+            serve.counter("serve.hits") +
+            serve.counter("serve.coalesced") + misses +
+            serve.counter("serve.invalid") +
+            serve.counter("serve.quarantined");
+        const std::uint64_t failed = serve.counter("serve.failed");
+        const std::uint64_t expired = serve.counter("serve.expired");
+        const std::uint64_t shed = serve.counter("serve.shed");
+        if (serve.complete()) {
+            if (outcomes > submitted)
+                flag("serve.requests",
+                     strfmt("submit outcomes sum to %llu but only "
+                            "%llu requests were made",
+                            static_cast<unsigned long long>(
+                                outcomes),
+                            static_cast<unsigned long long>(
+                                submitted)));
+            else if (submitted - outcomes > failed + expired)
+                flag("serve.requests",
+                     strfmt("%llu requests have no recorded "
+                            "outcome (outcomes %llu + failed %llu + "
+                            "expired %llu cannot cover them)",
+                            static_cast<unsigned long long>(
+                                submitted - outcomes),
+                            static_cast<unsigned long long>(
+                                outcomes),
+                            static_cast<unsigned long long>(failed),
+                            static_cast<unsigned long long>(
+                                expired)));
+            // Shedding happens after the miss was counted: every
+            // shed request is a subset of the misses.
+            if (shed > misses)
+                flag("serve.shed",
+                     strfmt("shed %llu exceeds misses %llu, but a "
+                            "request is only shed after counting "
+                            "as a miss",
+                            static_cast<unsigned long long>(shed),
+                            static_cast<unsigned long long>(
+                                misses)));
+        }
+
+        // The queue never holds more than its configured bound, and
+        // its high-water mark covers the current depth.
+        IdentityInputs queue(*metrics);
+        const double depth = queue.gauge("serve.queue_depth");
+        const double peak = queue.gauge("serve.queue_depth_peak");
+        const double capacity = queue.gauge("serve.queue_capacity");
+        if (queue.complete()) {
+            if (capacity > 0 && peak > capacity)
+                flag("serve.queue_depth_peak",
+                     strfmt("peak queue depth %g exceeds the "
+                            "configured capacity %g",
+                            peak, capacity));
+            if (depth > peak)
+                flag("serve.queue_depth",
+                     strfmt("current queue depth %g exceeds the "
+                            "recorded peak %g",
+                            depth, peak));
+        }
+
+        // Network identities. Every framing reject is both a
+        // counted request line and routed through the service as
+        // an unparseable (invalid) request. Request lines only
+        // exist on accepted connections, and every counted line
+        // was read off the wire — at least its newline byte is in
+        // net.bytes_in.
+        IdentityInputs net(*metrics);
+        const std::uint64_t rejects =
+            net.counter("net.framing_rejects");
+        const std::uint64_t lines = net.counter("net.requests");
+        const std::uint64_t connections =
+            net.counter("net.connections");
+        const std::uint64_t bytes_in = net.counter("net.bytes_in");
+        const std::uint64_t invalid = net.counter("serve.invalid");
+        if (net.complete()) {
+            if (rejects > lines)
+                flag("net.framing_rejects",
+                     strfmt("framing rejects %llu exceed request "
+                            "lines %llu",
+                            static_cast<unsigned long long>(rejects),
+                            static_cast<unsigned long long>(lines)));
+            if (rejects > invalid)
+                flag("net.framing_rejects",
+                     strfmt("framing rejects %llu exceed invalid "
+                            "requests %llu, but every framing "
+                            "reject is submitted as an invalid "
+                            "request",
+                            static_cast<unsigned long long>(rejects),
+                            static_cast<unsigned long long>(
+                                invalid)));
+            if (lines > 0 && connections == 0)
+                flag("net.requests",
+                     strfmt("%llu request lines arrived over zero "
+                            "connections",
+                            static_cast<unsigned long long>(lines)));
+            if (bytes_in < lines)
+                flag("net.bytes_in",
+                     strfmt("net bytes in %llu is below the request "
+                            "line count %llu (every line carries at "
+                            "least its newline)",
+                            static_cast<unsigned long long>(
+                                bytes_in),
+                            static_cast<unsigned long long>(lines)));
+        }
     }
 };
 

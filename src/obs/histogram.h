@@ -28,8 +28,8 @@
  *     relative error <= 1 / (2 * kSub) = 1/32 = 3.125%
  *
  * for every value in [kMinMs, kMinMs * 2^kOctaves) — comfortably
- * inside the <= 5% bound the serve stats document. Values below
- * kMinMs (sub-microsecond latencies) land in a dedicated underflow
+ * inside a <= 5% error budget. Values below kMinMs
+ * (sub-microsecond latencies) land in a dedicated underflow
  * bucket represented as kMinMs / 2; values at or above the top
  * land in the last bucket (the range spans ~12 days, so only an
  * absurd latency clamps). count and max are exact for every

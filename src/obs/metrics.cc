@@ -6,6 +6,7 @@
 #include <deque>
 #include <mutex>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "support/diag.h"
 #include "support/strings.h"
@@ -91,6 +92,15 @@ MetricsSnapshot::findCounter(const std::string &name) const
     for (const CounterValue &c : counters)
         if (c.name == name)
             return &c;
+    return nullptr;
+}
+
+const MetricsSnapshot::GaugeValue *
+MetricsSnapshot::findGauge(const std::string &name) const
+{
+    for (const GaugeValue &g : gauges)
+        if (g.name == name)
+            return &g;
     return nullptr;
 }
 
@@ -280,6 +290,12 @@ parseHistogramFields(const std::vector<std::string> &fields,
                                  pair.c_str());
                     return false;
                 }
+                if (bucket < 0 ||
+                    bucket >= LatencyHistogram::kBuckets) {
+                    why = strfmt("bucket %d outside [0, %d)", bucket,
+                                 LatencyHistogram::kBuckets);
+                    return false;
+                }
                 if (!hist.buckets.empty() &&
                     hist.buckets.back().first >= bucket) {
                     why = strfmt(
@@ -308,6 +324,7 @@ metricsFromText(const std::string &text, MetricsSnapshot &snapshot,
                 std::string &error)
 {
     MetricsSnapshot parsed;
+    std::unordered_set<std::string> seen;
     const std::vector<std::string> lines = split(text, '\n');
     size_t i = 0;
     while (i < lines.size() && trim(lines[i]).empty())
@@ -333,6 +350,13 @@ metricsFromText(const std::string &text, MetricsSnapshot &snapshot,
         }
         const std::string &kind = fields[0];
         const std::string &name = fields[1];
+        // One line per metric: a repeated name would let a second
+        // value hide behind the first one find*() returns.
+        if (!seen.insert(name).second) {
+            error = strfmt("line %d: metric '%s' given twice",
+                           lineno, name.c_str());
+            return false;
+        }
         if (kind == "counter") {
             std::uint64_t v = 0;
             if (fields.size() != 3 || !parseU64(fields[2], v)) {

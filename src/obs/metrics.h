@@ -4,8 +4,9 @@
 /**
  * @file
  * The metrics registry: named counters, gauges and latency
- * histograms behind one canonical text format ("dmsmetrics v1"),
- * the same round-trip discipline as serveStatsToText.
+ * histograms behind one canonical text format ("dmsmetrics v1") —
+ * the serving tier's one telemetry format, served by the `metrics`
+ * wire verb and written by `dmsd --metrics-out`.
  *
  * Cells are registered once (service construction, single-
  * threaded) and then touched lock-free: a Counter::inc is one
@@ -28,7 +29,8 @@
  * byte-identical for canonical @p t. dmslint's
  * obs.metrics-consistency checker audits the conservation laws
  * (per-histogram sum(buckets) == count, latency samples never
- * exceeding serve.requests).
+ * exceeding serve.requests) and the serve/net accounting
+ * identities.
  */
 
 #include <atomic>
@@ -115,6 +117,7 @@ struct MetricsSnapshot
 
     /** Pointer into counters by name; null when absent. */
     const CounterValue *findCounter(const std::string &name) const;
+    const GaugeValue *findGauge(const std::string &name) const;
     const HistogramValue *
     findHistogram(const std::string &name) const;
 };
@@ -149,9 +152,10 @@ class MetricsRegistry
 std::string metricsToText(const MetricsSnapshot &snapshot);
 
 /**
- * Parse the text format back. Unknown kinds, malformed values,
- * duplicate histogram fields and a missing header are errors with
- * @p error carrying a "line N: ..." message.
+ * Parse the text format back. Unknown kinds, malformed values, a
+ * metric name given twice, duplicate histogram fields, bucket
+ * indices outside LatencyHistogram's range and a missing header
+ * are errors with @p error carrying a "line N: ..." message.
  */
 bool metricsFromText(const std::string &text,
                      MetricsSnapshot &snapshot, std::string &error);

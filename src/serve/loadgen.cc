@@ -9,6 +9,7 @@
 
 #include "serve/net.h"
 #include "support/diag.h"
+#include "support/stats.h"
 #include "workload/suite.h"
 #include "workload/text.h"
 

@@ -117,8 +117,8 @@ struct HammerResult
     /**
      * @name Per-request latency of *this* run (milliseconds)
      * Measured client-side around each compile(), so a phase's
-     * percentiles are its own — unlike ServeStats, which spans
-     * the service's whole lifetime.
+     * percentiles are its own — unlike the service's
+     * serve.latency_ms histogram, which spans its whole lifetime.
      */
     /// @{
     double p50Ms = 0;

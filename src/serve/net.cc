@@ -158,10 +158,6 @@ std::string
 wireRequestToLine(const WireRequest &req)
 {
     std::string line = kMagic;
-    if (req.verb == WireRequest::Verb::Stats) {
-        line += "\tstats";
-        return line;
-    }
     if (req.verb == WireRequest::Verb::Metrics) {
         line += "\tmetrics";
         return line;
@@ -199,15 +195,6 @@ wireRequestFromLine(const std::string &line, WireRequest &out,
         return false;
     }
     WireRequest parsed;
-    if (tokens[1] == "stats") {
-        if (tokens.size() != 2) {
-            error = "stats takes no fields";
-            return false;
-        }
-        parsed.verb = WireRequest::Verb::Stats;
-        out = parsed;
-        return true;
-    }
     if (tokens[1] == "metrics") {
         if (tokens.size() != 2) {
             error = "metrics takes no fields";
@@ -475,38 +462,6 @@ wireResultFromLine(const std::string &line, CompileResult &out,
 }
 
 std::string
-wireStatsToLine(const std::string &statsText)
-{
-    std::string line = kMagic;
-    line += "\tstatsr";
-    appendField(line, "text", statsText);
-    return line;
-}
-
-bool
-wireStatsFromLine(const std::string &line, std::string &statsText,
-                  std::string &error)
-{
-    const std::vector<std::string> tokens = split(line, '\t');
-    if (tokens.size() != 3 || tokens[0] != kMagic ||
-        tokens[1] != "statsr") {
-        error = "not a stats response line";
-        return false;
-    }
-    std::string_view key;
-    std::string_view value;
-    if (!splitField(tokens[2], key, value) || key != "text") {
-        error = "stats response wants text=";
-        return false;
-    }
-    if (!wireUnescape(value, statsText)) {
-        error = "bad escape in stats text";
-        return false;
-    }
-    return true;
-}
-
-std::string
 wireMetricsToLine(const std::string &metricsText)
 {
     std::string line = kMagic;
@@ -737,11 +692,12 @@ struct NetServer::Impl
     /**
      * A line that failed framing. The reject is routed through the
      * service as an unparseable request so it lands in the
-     * `invalid` counter — the identity dmslint audits
-     * (net_framing_rejects <= invalid). Under fault injection the
-     * accounting submit itself can resolve Failed/Expired instead;
-     * then the client gets that structured (retryable) result and
-     * the reject is *not* counted, keeping the identity exact.
+     * serve.invalid counter — the identity dmslint audits
+     * (net.framing_rejects <= serve.invalid). Under fault
+     * injection the accounting submit itself can resolve
+     * Failed/Expired instead; then the client gets that
+     * structured (retryable) result and the reject is *not*
+     * counted, keeping the identity exact.
      */
     std::string
     framingReject(std::string why)
@@ -768,9 +724,6 @@ struct NetServer::Impl
         std::string err;
         if (!wireRequestFromLine(line, wire, err))
             return framingReject(std::move(err));
-
-        if (wire.verb == WireRequest::Verb::Stats)
-            return wireStatsToLine(serveStatsToText(snapshot()));
 
         if (wire.verb == WireRequest::Verb::Metrics)
             return wireMetricsToLine(
@@ -806,27 +759,13 @@ struct NetServer::Impl
             result = ticket.future.get();
         }
         // Wire requests land in the same latency histogram as
-        // in-process compile() calls, so the stats and metrics
-        // verbs report real serving latencies for a pure daemon.
+        // in-process compile() calls, so the metrics verb reports
+        // real serving latencies for a pure daemon.
         const auto t1 = std::chrono::steady_clock::now();
         service.recordLatencyMs(
             std::chrono::duration<double, std::milli>(t1 - t0)
                 .count());
         return wireResultToLine(*result);
-    }
-
-    ServeStats
-    snapshot() const
-    {
-        ServeStats s = service.stats();
-        s.netConnections =
-            connections.load(std::memory_order_relaxed);
-        s.netRequests = requests.load(std::memory_order_relaxed);
-        s.netFramingRejects =
-            framingRejects.load(std::memory_order_relaxed);
-        s.netBytesIn = bytesIn.load(std::memory_order_relaxed);
-        s.netBytesOut = bytesOut.load(std::memory_order_relaxed);
-        return s;
     }
 
     obs::MetricsSnapshot
@@ -932,12 +871,6 @@ int
 NetServer::port() const
 {
     return impl_->boundPort;
-}
-
-ServeStats
-NetServer::stats() const
-{
-    return impl_->snapshot();
 }
 
 obs::MetricsSnapshot
@@ -1057,21 +990,6 @@ NetClient::compile(const CompileRequest &request,
     if (!wireResultFromLine(response, out, error)) {
         // A garbled response is a transport failure: the stream
         // can no longer be trusted to be in frame.
-        close();
-        return false;
-    }
-    return true;
-}
-
-bool
-NetClient::fetchStats(std::string &text, std::string &error)
-{
-    WireRequest wire;
-    wire.verb = WireRequest::Verb::Stats;
-    std::string response;
-    if (!roundTrip(wireRequestToLine(wire), response, error))
-        return false;
-    if (!wireStatsFromLine(response, text, error)) {
         close();
         return false;
     }

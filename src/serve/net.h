@@ -26,7 +26,6 @@
  *          [<TAB> unroll=<int>] [<TAB> umax=<int>]
  *          [<TAB> uops=<int>]  [<TAB> verify=<0|1>]
  *          [<TAB> ra=<0|1>]    [<TAB> cg=<0|1>]
- *     dms1 <TAB> stats
  *     dms1 <TAB> metrics
  *     dms1 <TAB> trace
  *
@@ -37,20 +36,22 @@
  *          <TAB> ii=.. mii=.. stages=.. unroll=.. moves=..
  *          copies=.. iter=.. cycles=.. useful=.. qfiles=..
  *          qreq=.. qstore=.. qlink=.. <TAB> kernel=<esc>
- *     dms1 <TAB> statsr <TAB> text=<esc serveStatsToText>
  *     dms1 <TAB> metricsr <TAB> text=<esc metricsToText>
  *     dms1 <TAB> tracer <TAB> text=<esc tracesToJson>
  *
  * The result line carries every LoopRun field plus the emitted
  * kernel text, so a TCP round trip is bit-identical to the
  * in-process CompileResult (the socket-parity test pins this).
+ * The `metrics` response carries every serving counter: the
+ * service's snapshot plus the front-end's net.* counters.
  *
- * A line that fails framing is counted (netFramingRejects) and
- * answered with a structured Invalid result — never a dropped
- * connection, never a crash. Each framing reject is also routed
- * through CompileService::submit() as an unparseable request so
- * the service's `invalid` counter covers it (the dmslint identity
- * net_framing_rejects <= invalid).
+ * A line that fails framing (an unknown verb included) is counted
+ * in net.framing_rejects and answered with a structured Invalid
+ * result: never a dropped connection, never a crash. Each framing
+ * reject is also routed through CompileService::submit() as an
+ * unparseable request so the service's serve.invalid counter
+ * covers it (the dmslint identity net.framing_rejects <=
+ * serve.invalid).
  *
  * Fault sites: `serve.net.accept` (connection dropped at accept),
  * `serve.net.read` and `serve.net.write` (connection dropped
@@ -81,7 +82,6 @@ struct WireRequest
 {
     enum class Verb : std::uint8_t {
         Compile, ///< one CompileRequest
-        Stats,   ///< server stats snapshot
         Metrics, ///< full metrics snapshot (dmsmetrics v1 text)
         Trace,   ///< collected traces (Chrome trace_event JSON)
     };
@@ -107,13 +107,6 @@ std::string wireResultToLine(const CompileResult &result);
 /** Parse a result response line; false on framing errors. */
 bool wireResultFromLine(const std::string &line, CompileResult &out,
                         std::string &error);
-
-/** Serialize a stats-snapshot response line. */
-std::string wireStatsToLine(const std::string &statsText);
-
-/** Parse a stats response line back into the snapshot text. */
-bool wireStatsFromLine(const std::string &line,
-                       std::string &statsText, std::string &error);
 
 /** Serialize a metrics-snapshot response line. */
 std::string wireMetricsToLine(const std::string &metricsText);
@@ -179,13 +172,6 @@ class NetServer
     int port() const;
 
     /**
-     * The service's stats snapshot with this front-end's network
-     * counters merged in — the snapshot the `stats` verb serves
-     * and dmsd writes via --stats-out.
-     */
-    ServeStats stats() const;
-
-    /**
      * The service's metrics snapshot with this front-end's five
      * net.* counters appended (re-sorted) — the snapshot the
      * `metrics` verb serves and dmsd writes via --metrics-out.
@@ -233,9 +219,6 @@ class NetClient
      */
     bool compile(const CompileRequest &request, CompileResult &out,
                  std::string &error);
-
-    /** One stats round trip; @p text gets the snapshot. */
-    bool fetchStats(std::string &text, std::string &error);
 
     /** One metrics round trip; @p text gets dmsmetrics v1 text. */
     bool fetchMetrics(std::string &text, std::string &error);

@@ -495,12 +495,10 @@ struct CompileService::Impl
     std::vector<std::thread> workers;
 
     /**
-     * The stats cells, all registered here. Hot paths hold the
+     * The telemetry cells, all registered here. Hot paths hold the
      * direct references below — one relaxed fetch_add per count,
      * one wait-free histogram record per latency; no mutex on any
-     * request path (the old statsMu + exact Samples store is gone;
-     * Samples survives in support/stats.h for tests and the
-     * loadgen's client-side percentiles).
+     * request path.
      */
     obs::MetricsRegistry metricsReg;
     obs::Counter &requests;
@@ -954,46 +952,6 @@ CompileService::recordLatencyMs(double ms)
     impl_->latenciesMs.record(ms);
 }
 
-ServeStats
-CompileService::stats() const
-{
-    ServeStats out;
-    // The whole snapshot is relaxed atomic reads — no lock is
-    // taken and no sample store is copied, so concurrent
-    // compile()/submit() traffic never stalls on a stats poll
-    // (the stats_snapshot_ns bench row measures this). The
-    // histogram is swept before the counters so its sample count
-    // can never exceed the request count it is compared against.
-    const obs::HistogramSnapshot latencies =
-        impl_->latenciesMs.snapshot();
-    out.requests = impl_->requests.value();
-    out.hits = impl_->hits.value();
-    out.coalesced = impl_->coalesced.value();
-    out.misses = impl_->misses.value();
-    out.invalid = impl_->invalid.value();
-    out.failed = impl_->failed.value();
-    out.expired = impl_->expired.value();
-    out.shed = impl_->shed.value();
-    out.quarantined = impl_->quarantined.value();
-    out.rejected = out.shed + out.quarantined;
-    out.latencySamples = latencies.count;
-    out.p50Ms = latencies.percentile(50);
-    out.p90Ms = latencies.percentile(90);
-    out.p99Ms = latencies.percentile(99);
-    out.maxMs = latencies.maxMs;
-    out.meanMs = latencies.mean();
-    out.evictions = impl_->cache.evictions() +
-                    impl_->aliases.evictions();
-    out.retired =
-        impl_->cache.retired() + impl_->aliases.retired();
-    out.cached = impl_->cache.size();
-    out.degraded = impl_->degraded.load(std::memory_order_relaxed);
-    out.queueDepth = impl_->queue.depth();
-    out.peakQueueDepth = impl_->queue.peak();
-    out.queueCapacity = opts_.queueDepth;
-    return out;
-}
-
 obs::MetricsSnapshot
 CompileService::metrics() const
 {
@@ -1025,131 +983,6 @@ CompileService::metrics() const
     }
     snap.sortByName();
     return snap;
-}
-
-std::string
-serveStatsToText(const ServeStats &stats)
-{
-    std::string out = "servestats v1\n";
-    const auto line = [&out](const char *key, std::uint64_t v) {
-        out += strfmt("%s %llu\n", key,
-                      static_cast<unsigned long long>(v));
-    };
-    line("requests", stats.requests);
-    line("hits", stats.hits);
-    line("coalesced", stats.coalesced);
-    line("misses", stats.misses);
-    line("invalid", stats.invalid);
-    line("failed", stats.failed);
-    line("expired", stats.expired);
-    line("shed", stats.shed);
-    line("quarantined", stats.quarantined);
-    line("rejected", stats.rejected);
-    line("evictions", stats.evictions);
-    line("retired", stats.retired);
-    line("cached", stats.cached);
-    line("degraded", stats.degraded ? 1 : 0);
-    line("queue_depth",
-         static_cast<std::uint64_t>(std::max(stats.queueDepth, 0)));
-    line("peak_queue_depth",
-         static_cast<std::uint64_t>(
-             std::max(stats.peakQueueDepth, 0)));
-    line("queue_capacity",
-         static_cast<std::uint64_t>(
-             std::max(stats.queueCapacity, 0)));
-    line("net_connections", stats.netConnections);
-    line("net_requests", stats.netRequests);
-    line("net_framing_rejects", stats.netFramingRejects);
-    line("net_bytes_in", stats.netBytesIn);
-    line("net_bytes_out", stats.netBytesOut);
-    return out;
-}
-
-bool
-serveStatsFromText(const std::string &text, ServeStats &stats,
-                   std::string &error)
-{
-    ServeStats parsed;
-    const std::vector<std::string> lines = split(text, '\n');
-    size_t i = 0;
-    while (i < lines.size() && trim(lines[i]).empty())
-        ++i;
-    if (i >= lines.size() || trim(lines[i]) != "servestats v1") {
-        error = "missing 'servestats v1' header";
-        return false;
-    }
-    int lineno = static_cast<int>(i) + 1;
-    for (++i; i < lines.size(); ++i) {
-        ++lineno;
-        const std::string line = trim(lines[i]);
-        if (line.empty() || line[0] == '#')
-            continue;
-        const size_t sp = line.find(' ');
-        if (sp == std::string::npos) {
-            error = strfmt("line %d: want 'key value'", lineno);
-            return false;
-        }
-        const std::string key = line.substr(0, sp);
-        const std::string value = trim(line.substr(sp + 1));
-        int v = 0;
-        if (!parseInt(value, v)) {
-            error = strfmt("line %d: bad value '%s' for '%s'",
-                           lineno, value.c_str(), key.c_str());
-            return false;
-        }
-        const std::uint64_t u = static_cast<std::uint64_t>(v);
-        if (key == "requests") {
-            parsed.requests = u;
-        } else if (key == "hits") {
-            parsed.hits = u;
-        } else if (key == "coalesced") {
-            parsed.coalesced = u;
-        } else if (key == "misses") {
-            parsed.misses = u;
-        } else if (key == "invalid") {
-            parsed.invalid = u;
-        } else if (key == "failed") {
-            parsed.failed = u;
-        } else if (key == "expired") {
-            parsed.expired = u;
-        } else if (key == "shed") {
-            parsed.shed = u;
-        } else if (key == "quarantined") {
-            parsed.quarantined = u;
-        } else if (key == "rejected") {
-            parsed.rejected = u;
-        } else if (key == "evictions") {
-            parsed.evictions = u;
-        } else if (key == "retired") {
-            parsed.retired = u;
-        } else if (key == "cached") {
-            parsed.cached = u;
-        } else if (key == "degraded") {
-            parsed.degraded = u != 0;
-        } else if (key == "queue_depth") {
-            parsed.queueDepth = static_cast<int>(v);
-        } else if (key == "peak_queue_depth") {
-            parsed.peakQueueDepth = static_cast<int>(v);
-        } else if (key == "queue_capacity") {
-            parsed.queueCapacity = static_cast<int>(v);
-        } else if (key == "net_connections") {
-            parsed.netConnections = u;
-        } else if (key == "net_requests") {
-            parsed.netRequests = u;
-        } else if (key == "net_framing_rejects") {
-            parsed.netFramingRejects = u;
-        } else if (key == "net_bytes_in") {
-            parsed.netBytesIn = u;
-        } else if (key == "net_bytes_out") {
-            parsed.netBytesOut = u;
-        } else {
-            error = strfmt("line %d: unknown key '%s'", lineno,
-                           key.c_str());
-            return false;
-        }
-    }
-    stats = parsed;
-    return true;
 }
 
 } // namespace dms

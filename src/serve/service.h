@@ -37,7 +37,6 @@
 #include "eval/runner.h"
 #include "obs/metrics.h"
 #include "serve/cache.h"
-#include "support/stats.h"
 
 namespace dms {
 
@@ -167,73 +166,6 @@ struct CompileResult
     std::string kernelText;
 };
 
-/** Point-in-time service counters. */
-struct ServeStats
-{
-    std::uint64_t requests = 0;  ///< submits, including invalid
-    std::uint64_t hits = 0;      ///< served from the cache
-    std::uint64_t coalesced = 0; ///< joined an in-flight compile
-    std::uint64_t misses = 0;    ///< cold compilations started
-    std::uint64_t invalid = 0;   ///< requests that failed to parse
-    std::uint64_t evictions = 0; ///< ready entries dropped (cap)
-    std::uint64_t cached = 0;    ///< entries resident right now
-
-    /** @name Fault-tolerance counters */
-    /// @{
-    std::uint64_t failed = 0;  ///< compiles resolved Failed
-    std::uint64_t expired = 0; ///< deadline expiries (Expired)
-    std::uint64_t shed = 0;    ///< trySubmit queue-full rejections
-    std::uint64_t quarantined = 0; ///< poisoned-key rejections
-    std::uint64_t rejected = 0;    ///< shed + quarantined
-    std::uint64_t retired = 0; ///< failed cache entries reclaimed
-
-    /**
-     * Sticky-ish overload indicator: set when a request is shed,
-     * cleared when a push observes the queue at half capacity or
-     * less. Clients may use it to back off preemptively.
-     */
-    bool degraded = false;
-    /// @}
-
-    int queueDepth = 0;     ///< requests waiting right now
-    int peakQueueDepth = 0; ///< high-water mark
-    int queueCapacity = 0;  ///< configured bound (ServeOptions)
-
-    /** @name Network front-end counters (zero without --listen) */
-    /// @{
-    std::uint64_t netConnections = 0; ///< TCP connections accepted
-    std::uint64_t netRequests = 0;    ///< request lines received
-    /**
-     * Request lines that failed wire-format framing. Every framing
-     * reject is also submitted to the service as an (unparseable)
-     * request, so netFramingRejects <= invalid — the lint
-     * identity dmslint audits.
-     */
-    std::uint64_t netFramingRejects = 0;
-    std::uint64_t netBytesIn = 0;  ///< request bytes read
-    std::uint64_t netBytesOut = 0; ///< response bytes written
-    /// @}
-
-    /** @name End-to-end compile() latency (milliseconds) */
-    /// @{
-    std::uint64_t latencySamples = 0;
-    double p50Ms = 0;
-    double p90Ms = 0;
-    double p99Ms = 0;
-    double maxMs = 0;
-    double meanMs = 0;
-    /// @}
-
-    double
-    hitRate() const
-    {
-        return requests == 0
-                   ? 0.0
-                   : static_cast<double>(hits + coalesced) /
-                         static_cast<double>(requests);
-    }
-};
-
 /**
  * The long-lived compile server. Thread-safe: any number of client
  * threads may submit()/compile() concurrently. Destruction drains
@@ -305,27 +237,24 @@ class CompileService
 
     /**
      * Synchronous entry point: submit() then wait. Records the
-     * end-to-end latency into the stats.
+     * end-to-end latency into serve.latency_ms.
      */
     ResultPtr compile(const CompileRequest &request);
 
     /**
      * Record one end-to-end request latency into the serving
      * histogram. compile() calls it for in-process requests; the
-     * network front-end calls it per request line, so the stats
-     * and metrics verbs report wire latencies too. Wait-free.
+     * network front-end calls it per request line, so the metrics
+     * verb reports wire latencies too. Wait-free.
      */
     void recordLatencyMs(double ms);
 
-    /** Snapshot of the counters and latency percentiles. */
-    ServeStats stats() const;
-
     /**
-     * Full metrics snapshot ("dmsmetrics v1" via metricsToText):
+     * The service's telemetry ("dmsmetrics v1" via metricsToText):
      * every serve.* counter, the serve.latency_ms histogram, the
      * queue/cache gauges, the scheduler-attempt counter, and one
      * fault.<site>.{hits,fired} counter pair per observed fault
-     * site. Lock-free sweep of the same cells stats() reads.
+     * site. A lock-free relaxed sweep of the live cells.
      */
     obs::MetricsSnapshot metrics() const;
 
@@ -348,20 +277,6 @@ class CompileService
 CompileRequest makeRequest(const Loop &loop,
                            const MachineModel &machine,
                            const PipelineOptions &options);
-
-/**
- * Serialize a stats snapshot into the "servestats v1" text format
- * (one "key value" line per field) — the artifact dmslint's
- * serve.stats-consistency checker audits.
- */
-std::string serveStatsToText(const ServeStats &stats);
-
-/**
- * Parse the "servestats v1" format back. Unknown keys, bad values
- * and a missing header are errors; absent fields keep defaults.
- */
-bool serveStatsFromText(const std::string &text, ServeStats &stats,
-                        std::string &error);
 
 } // namespace dms
 

@@ -8,76 +8,19 @@
 namespace dms {
 
 void
-Accumulator::add(double x)
-{
-    if (n_ == 0) {
-        min_ = max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    ++n_;
-    sum_ += x;
-    double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-}
-
-double
-Accumulator::min() const
-{
-    DMS_ASSERT(n_ > 0, "min() of empty accumulator");
-    return min_;
-}
-
-double
-Accumulator::max() const
-{
-    DMS_ASSERT(n_ > 0, "max() of empty accumulator");
-    return max_;
-}
-
-double
-Accumulator::mean() const
-{
-    return n_ == 0 ? 0.0 : mean_;
-}
-
-double
-Accumulator::stddev() const
-{
-    if (n_ < 2)
-        return 0.0;
-    return std::sqrt(m2_ / static_cast<double>(n_ - 1));
-}
-
-void
 Samples::add(double x)
 {
-    ++n_;
+    max_ = values_.empty() ? x : std::max(max_, x);
     sum_ += x;
-    max_ = n_ == 1 ? x : std::max(max_, x);
-    if (cap_ == 0 || values_.size() < cap_) {
-        values_.push_back(x);
-        return;
-    }
-    // Reservoir (algorithm R): keep x with probability cap/n, in
-    // a uniformly random slot. The LCG keeps this deterministic
-    // and allocation-free.
-    lcg_ = lcg_ * 6364136223846793005ULL + 1442695040888963407ULL;
-    std::uint64_t slot = (lcg_ >> 16) % n_;
-    if (slot < cap_)
-        values_[slot] = x;
+    values_.push_back(x);
 }
 
 void
 Samples::merge(const Samples &other)
 {
-    DMS_ASSERT(cap_ == 0 && other.cap_ == 0,
-               "merge of reservoir-capped Samples unsupported");
-    if (other.n_ > 0)
-        max_ = n_ == 0 ? other.max_ : std::max(max_, other.max_);
-    n_ += other.n_;
+    if (!other.values_.empty())
+        max_ = values_.empty() ? other.max_
+                               : std::max(max_, other.max_);
     sum_ += other.sum_;
     values_.insert(values_.end(), other.values_.begin(),
                    other.values_.end());
@@ -86,13 +29,15 @@ Samples::merge(const Samples &other)
 double
 Samples::mean() const
 {
-    return n_ == 0 ? 0.0 : sum_ / static_cast<double>(n_);
+    return values_.empty()
+               ? 0.0
+               : sum_ / static_cast<double>(values_.size());
 }
 
 double
 Samples::max() const
 {
-    return n_ == 0 ? 0.0 : max_;
+    return values_.empty() ? 0.0 : max_;
 }
 
 double
@@ -111,37 +56,6 @@ Samples::percentile(double p) const
                      scratch.begin() + static_cast<long>(rank),
                      scratch.end());
     return scratch[rank];
-}
-
-Histogram::Histogram(int lo, int width, int buckets)
-    : lo_(lo), width_(width), counts_(static_cast<size_t>(buckets), 0)
-{
-    DMS_ASSERT(width > 0 && buckets > 0, "bad histogram shape");
-}
-
-void
-Histogram::add(int value)
-{
-    int b = (value - lo_) / width_;
-    b = std::clamp(b, 0, numBuckets() - 1);
-    ++counts_[static_cast<size_t>(b)];
-    ++total_;
-}
-
-double
-Histogram::fraction(int b) const
-{
-    if (total_ == 0)
-        return 0.0;
-    return static_cast<double>(bucketCount(b)) /
-           static_cast<double>(total_);
-}
-
-std::string
-Histogram::bucketLabel(int b) const
-{
-    int lo = lo_ + b * width_;
-    return strfmt("[%d,%d)", lo, lo + width_);
 }
 
 } // namespace dms

@@ -3,112 +3,46 @@
 
 /**
  * @file
- * Streaming statistics accumulators used by the evaluation harness.
+ * Exact sample statistics for client-side latency measurement.
  */
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace dms {
 
-/** Streaming min/max/mean/stddev accumulator (Welford's algorithm). */
-class Accumulator
-{
-  public:
-    void add(double x);
-
-    std::uint64_t count() const { return n_; }
-    double sum() const { return sum_; }
-    double min() const;
-    double max() const;
-    double mean() const;
-    /** Sample standard deviation; 0 for fewer than two samples. */
-    double stddev() const;
-
-  private:
-    std::uint64_t n_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-};
-
 /**
  * Sample store with exact percentile extraction, used by the
- * bench harnesses and the load-generator clients. With a non-zero
- * @p cap the store keeps a uniform reservoir (algorithm R,
- * deterministic LCG) of that many samples, so memory stays
- * bounded over a long run while count/mean/max remain exact over
- * every sample ever added and percentiles are unbiased estimates.
- * cap 0 keeps everything (exact percentiles). Not thread-safe:
- * callers that share one instance across threads hold their own
- * lock. The serve hot path records into the wait-free
- * obs::LatencyHistogram instead and keeps this class as the exact
- * oracle its accuracy tests compare against. Percentiles use the
- * nearest-rank definition on a scratch copy, so add() stays O(1)
- * on the hot path.
+ * load-generator clients. It keeps every sample, so count, mean,
+ * max and percentiles are exact. Not thread-safe: each client
+ * thread fills its own store and merge() combines them. The serve
+ * hot path records into the wait-free obs::LatencyHistogram
+ * instead and keeps this class as the exact oracle its accuracy
+ * tests compare against. Percentiles use the nearest-rank
+ * definition on a scratch copy, so add() stays O(1).
  */
 class Samples
 {
   public:
-    explicit Samples(std::uint64_t cap = 0) : cap_(cap) {}
-
     void add(double x);
 
-    /** Samples ever added (not bounded by the reservoir cap). */
-    std::uint64_t count() const { return n_; }
-    /** Exact mean over every sample added. */
+    std::uint64_t count() const { return values_.size(); }
     double mean() const;
-    /** Exact max over every sample added. */
     double max() const;
 
     /**
-     * Nearest-rank percentile for @p p in [0, 100] over the
-     * resident samples; 0 when none were recorded.
+     * Nearest-rank percentile for @p p in [0, 100]; 0 when none
+     * were recorded.
      */
     double percentile(double p) const;
 
-    /**
-     * Fold @p other into this store. Supported for uncapped
-     * stores only (a reservoir merge would need per-sample
-     * weights); asserts otherwise. Lets per-thread collectors
-     * combine without sharing a lock on the hot path.
-     */
+    /** Fold @p other into this store. */
     void merge(const Samples &other);
 
   private:
-    std::uint64_t cap_;
-    std::uint64_t n_ = 0;
     double sum_ = 0.0;
     double max_ = 0.0;
-    std::uint64_t lcg_ = 0x2545f4914f6cdd1dULL;
     std::vector<double> values_;
-};
-
-/** Fixed-bucket histogram over integer values. */
-class Histogram
-{
-  public:
-    /** Buckets [lo, lo+width), ...; out-of-range clamps to ends. */
-    Histogram(int lo, int width, int buckets);
-
-    void add(int value);
-
-    std::uint64_t total() const { return total_; }
-    std::uint64_t bucketCount(int b) const { return counts_.at(b); }
-    int numBuckets() const { return static_cast<int>(counts_.size()); }
-    /** Fraction of samples in bucket b (0 if empty histogram). */
-    double fraction(int b) const;
-    /** Human-readable bucket label such as "[4,8)". */
-    std::string bucketLabel(int b) const;
-
-  private:
-    int lo_;
-    int width_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t total_ = 0;
 };
 
 } // namespace dms

@@ -5,9 +5,8 @@
  * kinds), the hardened compile service under chaos (every request
  * one terminal status, the daemon never dies), quarantine of
  * poisoned keys with half-open probing, deadline expiry, load
- * shedding through trySubmit, the ServeStats text round-trip, and
- * a fuzz of the result cache's eviction/retirement accounting
- * against its conservation law.
+ * shedding through trySubmit, and a fuzz of the result cache's
+ * eviction/retirement accounting against its conservation law.
  */
 
 #include <algorithm>
@@ -20,6 +19,7 @@
 
 #include "analysis/analyze.h"
 #include "machine/desc.h"
+#include "obs/metrics.h"
 #include "serve/cache.h"
 #include "serve/loadgen.h"
 #include "serve/service.h"
@@ -54,14 +54,24 @@ kernelRequest(const char *kernel)
     return makeRequest(loop, MachineModel::clusteredRing(4), po);
 }
 
-/** The final ServeStats must satisfy the lint identities. */
+/** @p service's counter @p name; a missing counter fails the test. */
+std::uint64_t
+counter(const CompileService &service, const char *name)
+{
+    const obs::MetricsSnapshot snap = service.metrics();
+    const auto *c = snap.findCounter(name);
+    EXPECT_NE(c, nullptr) << name;
+    return c != nullptr ? c->value : 0;
+}
+
+/** The final metrics snapshot must satisfy the lint identities. */
 void
-expectStatsConsistent(const CompileService &service,
-                      const char *label)
+expectMetricsConsistent(const CompileService &service,
+                        const char *label)
 {
     DiagnosticSink sink;
-    lintServeStatsText(serveStatsToText(service.stats()), label,
-                       sink);
+    lintMetricsText(obs::metricsToText(service.metrics()), label,
+                    sink);
     EXPECT_EQ(sink.renderText(), "") << label;
 }
 
@@ -281,7 +291,7 @@ TEST(Faults, NoFaultAndRateZeroRunsBitIdentical)
  * load while every fault site is armed at 10-30%. The service must
  * neither crash nor hang, every request must reach exactly one
  * terminal status, and the final counters must satisfy the
- * serve.stats-consistency identities.
+ * obs.metrics-consistency identities.
  */
 TEST(Faults, ChaosHammerEveryRequestOneTerminalStatus)
 {
@@ -337,9 +347,9 @@ TEST(Faults, ChaosHammerEveryRequestOneTerminalStatus)
     EXPECT_GT(res.count(CompileStatus::Ok), 0);
     EXPECT_GT(faultsInjected(), 0u);
 
-    const ServeStats stats = service.stats();
-    EXPECT_GE(stats.requests, static_cast<std::uint64_t>(kTotal));
-    expectStatsConsistent(service, "chaos");
+    EXPECT_GE(counter(service, "serve.requests"),
+              static_cast<std::uint64_t>(kTotal));
+    expectMetricsConsistent(service, "chaos");
 
     // The daemon survived: with the plan disarmed (workers idle —
     // every future above resolved), service compiles cleanly.
@@ -375,7 +385,7 @@ TEST(Faults, QuarantineTriggersThenProbeClears)
         CompileService::ResultPtr r = service.compile(req);
         EXPECT_EQ(r->status, CompileStatus::Quarantined) << i;
     }
-    EXPECT_EQ(service.stats().quarantined, 2u);
+    EXPECT_EQ(counter(service, "serve.quarantined"), 2u);
 
     // After quarantineProbe rejections, one half-open probe goes
     // through; with the fault gone it succeeds and clears the key.
@@ -386,7 +396,7 @@ TEST(Faults, QuarantineTriggersThenProbeClears)
     CompileService::Ticket warm = service.submit(req);
     EXPECT_EQ(warm.source, CompileService::Source::Hit);
     EXPECT_EQ(warm.future.get()->status, CompileStatus::Ok);
-    expectStatsConsistent(service, "quarantine");
+    expectMetricsConsistent(service, "quarantine");
 }
 
 TEST(Faults, DeadlineExpiresAndKeyRetriesAfterwards)
@@ -410,7 +420,7 @@ TEST(Faults, DeadlineExpiresAndKeyRetriesAfterwards)
     CompileService::ResultPtr r = ticket.future.get();
     EXPECT_EQ(r->status, CompileStatus::Expired);
     EXPECT_TRUE(r->parsed);
-    EXPECT_GE(service.stats().expired, 1u);
+    EXPECT_GE(counter(service, "serve.expired"), 1u);
 
     // The expired entry was retired: the key retries (a fresh
     // miss, not a hit on a dead entry) and now succeeds.
@@ -419,7 +429,7 @@ TEST(Faults, DeadlineExpiresAndKeyRetriesAfterwards)
     CompileService::Ticket again = service.submit(req);
     EXPECT_EQ(again.source, CompileService::Source::Miss);
     EXPECT_EQ(again.future.get()->status, CompileStatus::Ok);
-    expectStatsConsistent(service, "deadline");
+    expectMetricsConsistent(service, "deadline");
 }
 
 TEST(Faults, TrySubmitShedsWhenTheQueueStaysFull)
@@ -468,11 +478,13 @@ TEST(Faults, TrySubmitShedsWhenTheQueueStaysFull)
     EXPECT_GE(shed, 2);
     EXPECT_GE(compiled, 1);
 
-    const ServeStats stats = service.stats();
-    EXPECT_EQ(stats.shed, static_cast<std::uint64_t>(shed));
-    EXPECT_EQ(stats.rejected, stats.shed + stats.quarantined);
-    EXPECT_TRUE(stats.degraded);
-    expectStatsConsistent(service, "shed");
+    EXPECT_EQ(counter(service, "serve.shed"),
+              static_cast<std::uint64_t>(shed));
+    const obs::MetricsSnapshot snap = service.metrics();
+    const auto *degraded = snap.findGauge("serve.degraded");
+    ASSERT_NE(degraded, nullptr);
+    EXPECT_EQ(degraded->value, 1.0);
+    expectMetricsConsistent(service, "shed");
     disarmFaults();
 }
 
@@ -529,77 +541,8 @@ TEST(Validate, PanicReachableRequestsRejectedStructured)
     CompileService::ResultPtr good =
         service.compile(kernelRequest("daxpy"));
     EXPECT_TRUE(good->ok) << good->error;
-    EXPECT_EQ(service.stats().invalid, 5u);
-    expectStatsConsistent(service, "validate");
-}
-
-// --- ServeStats text form ----------------------------------------------
-
-TEST(ServeStatsText, RoundTripsEveryCounter)
-{
-    ServeStats stats;
-    stats.requests = 101;
-    stats.hits = 42;
-    stats.coalesced = 7;
-    stats.misses = 31;
-    stats.invalid = 3;
-    stats.failed = 9;
-    stats.expired = 4;
-    stats.shed = 11;
-    stats.quarantined = 2;
-    stats.rejected = 13;
-    stats.evictions = 5;
-    stats.retired = 6;
-    stats.cached = 17;
-    stats.degraded = true;
-    stats.queueDepth = 3;
-    stats.peakQueueDepth = 12;
-    stats.queueCapacity = 64;
-
-    const std::string text = serveStatsToText(stats);
-    EXPECT_EQ(text.rfind("servestats v1\n", 0), 0u);
-
-    ServeStats back;
-    std::string error;
-    ASSERT_TRUE(serveStatsFromText(text, back, error)) << error;
-    EXPECT_EQ(back.requests, stats.requests);
-    EXPECT_EQ(back.hits, stats.hits);
-    EXPECT_EQ(back.coalesced, stats.coalesced);
-    EXPECT_EQ(back.misses, stats.misses);
-    EXPECT_EQ(back.invalid, stats.invalid);
-    EXPECT_EQ(back.failed, stats.failed);
-    EXPECT_EQ(back.expired, stats.expired);
-    EXPECT_EQ(back.shed, stats.shed);
-    EXPECT_EQ(back.quarantined, stats.quarantined);
-    EXPECT_EQ(back.rejected, stats.rejected);
-    EXPECT_EQ(back.evictions, stats.evictions);
-    EXPECT_EQ(back.retired, stats.retired);
-    EXPECT_EQ(back.cached, stats.cached);
-    EXPECT_EQ(back.degraded, stats.degraded);
-    EXPECT_EQ(back.queueDepth, stats.queueDepth);
-    EXPECT_EQ(back.peakQueueDepth, stats.peakQueueDepth);
-    EXPECT_EQ(back.queueCapacity, stats.queueCapacity);
-}
-
-TEST(ServeStatsText, RejectsMalformedText)
-{
-    ServeStats out;
-    std::string error;
-    EXPECT_FALSE(serveStatsFromText("", out, error));
-    EXPECT_FALSE(error.empty());
-    EXPECT_FALSE(
-        serveStatsFromText("requests 3\n", out, error));
-    EXPECT_FALSE(serveStatsFromText(
-        "servestats v1\nbogus_key 3\n", out, error));
-    EXPECT_FALSE(serveStatsFromText(
-        "servestats v1\nrequests banana\n", out, error));
-    EXPECT_FALSE(serveStatsFromText(
-        "servestats v1\nrequestsonly\n", out, error));
-    // Comments and blank lines are fine.
-    EXPECT_TRUE(serveStatsFromText(
-        "\nservestats v1\n# comment\n\nrequests 3\n", out, error))
-        << error;
-    EXPECT_EQ(out.requests, 3u);
+    EXPECT_EQ(counter(service, "serve.invalid"), 5u);
+    expectMetricsConsistent(service, "validate");
 }
 
 // --- cache eviction/retirement accounting ------------------------------

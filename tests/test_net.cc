@@ -37,6 +37,15 @@
 namespace dms {
 namespace {
 
+/** Counter @p name of @p snap; a missing counter fails the test. */
+std::uint64_t
+counter(const obs::MetricsSnapshot &snap, const char *name)
+{
+    const auto *c = snap.findCounter(name);
+    EXPECT_NE(c, nullptr) << name;
+    return c != nullptr ? c->value : 0;
+}
+
 /** Canonical compile request for one named kernel on the ring. */
 CompileRequest
 kernelRequest(const char *kernel, bool codegen = true)
@@ -181,13 +190,13 @@ TEST(Wire, RequestLineRoundTripsEveryField)
     EXPECT_TRUE(back.request.options.regalloc);
     EXPECT_TRUE(back.request.options.codegen);
 
-    WireRequest stats;
-    stats.verb = WireRequest::Verb::Stats;
-    WireRequest statsBack;
-    ASSERT_TRUE(wireRequestFromLine(wireRequestToLine(stats),
-                                    statsBack, error))
+    WireRequest metrics;
+    metrics.verb = WireRequest::Verb::Metrics;
+    WireRequest metricsBack;
+    ASSERT_TRUE(wireRequestFromLine(wireRequestToLine(metrics),
+                                    metricsBack, error))
         << error;
-    EXPECT_EQ(statsBack.verb, WireRequest::Verb::Stats);
+    EXPECT_EQ(metricsBack.verb, WireRequest::Verb::Metrics);
 }
 
 TEST(Wire, ResultLineRoundTripsEveryField)
@@ -279,12 +288,14 @@ TEST(NetServer, GarbageAndDisconnectsLeaveTheServerServing)
     ASSERT_TRUE(server.start(error)) << error;
 
     // Garbage lines get a structured Invalid response on the same
-    // connection — parse-or-reject, never a dropped socket.
+    // connection — parse-or-reject, never a dropped socket. A
+    // `stats` line is just another unknown verb.
     int fd = rawConnect(server.port());
     ASSERT_GE(fd, 0);
     for (const char *junk :
-         {"not a protocol line", "dms1\tcompile\tloop=\\q",
-          "dms1\tfrobnicate", "dms1\tcompile\tmystery=1"}) {
+         {"not a protocol line", "dms1\tstats",
+          "dms1\tcompile\tloop=\\q", "dms1\tfrobnicate",
+          "dms1\tcompile\tmystery=1"}) {
         ASSERT_TRUE(rawSend(fd, std::string(junk) + "\n"));
         std::string respLine;
         ASSERT_TRUE(rawReadLine(fd, respLine)) << junk;
@@ -310,11 +321,14 @@ TEST(NetServer, GarbageAndDisconnectsLeaveTheServerServing)
         << error;
     EXPECT_EQ(result.status, CompileStatus::Ok);
 
-    const ServeStats stats = server.stats();
-    EXPECT_GE(stats.netFramingRejects, 4u);
-    EXPECT_LE(stats.netFramingRejects, stats.invalid);
-    EXPECT_LE(stats.netFramingRejects, stats.netRequests);
-    EXPECT_GE(stats.netBytesIn, stats.netRequests);
+    const obs::MetricsSnapshot snap = server.metrics();
+    const std::uint64_t rejects =
+        counter(snap, "net.framing_rejects");
+    const std::uint64_t lines = counter(snap, "net.requests");
+    EXPECT_GE(rejects, 5u);
+    EXPECT_LE(rejects, counter(snap, "serve.invalid"));
+    EXPECT_LE(rejects, lines);
+    EXPECT_GE(counter(snap, "net.bytes_in"), lines);
     server.stop();
 }
 
@@ -385,20 +399,11 @@ TEST(NetServer, TcpRoundTripIsBitIdenticalToInProcessService)
     ASSERT_TRUE(client.compile(req, warm, error)) << error;
     expectResultsIdentical(*truth, warm);
 
-    const ServeStats stats = server.stats();
-    EXPECT_GE(stats.hits, 1u);
-    EXPECT_EQ(stats.netRequests, 2u);
-    EXPECT_EQ(stats.netConnections, 1u);
-    EXPECT_EQ(stats.netFramingRejects, 0u);
-
-    // The stats verb round-trips the snapshot text too.
-    std::string statsText;
-    ASSERT_TRUE(client.fetchStats(statsText, error)) << error;
-    ServeStats fetched;
-    ASSERT_TRUE(serveStatsFromText(statsText, fetched, error))
-        << error;
-    EXPECT_EQ(fetched.hits, stats.hits);
-    EXPECT_EQ(fetched.netConnections, 1u);
+    const obs::MetricsSnapshot snap = server.metrics();
+    EXPECT_GE(counter(snap, "serve.hits"), 1u);
+    EXPECT_EQ(counter(snap, "net.requests"), 2u);
+    EXPECT_EQ(counter(snap, "net.connections"), 1u);
+    EXPECT_EQ(counter(snap, "net.framing_rejects"), 0u);
     server.stop();
 }
 
@@ -456,11 +461,10 @@ TEST(NetServer, MetricsVerbRoundTripsAndLintsClean)
     server.stop();
 }
 
-TEST(NetServer, ConcurrentStatsAndMetricsPollingUnderLoad)
+TEST(NetServer, ConcurrentMetricsPollingUnderLoad)
 {
-    // Satellite of the lock-free stats refactor: snapshots are
-    // plain atomic reads now, so clients hammering the stats and
-    // metrics verbs while compile load runs must see consistent
+    // Snapshots are plain atomic reads, so clients hammering the
+    // metrics verb while compile load runs must see consistent
     // text (this test is the TSan witness for the hot path).
     ServeOptions so;
     so.workers = 2;
@@ -504,12 +508,6 @@ TEST(NetServer, ConcurrentStatsAndMetricsPollingUnderLoad)
             }
             while (!done.load(std::memory_order_relaxed)) {
                 std::string text;
-                ServeStats s;
-                if (!nc.fetchStats(text, err) ||
-                    !serveStatsFromText(text, s, err)) {
-                    pollFailures.fetch_add(1);
-                    break;
-                }
                 obs::MetricsSnapshot snap;
                 if (!nc.fetchMetrics(text, err) ||
                     !obs::metricsFromText(text, snap, err)) {
@@ -530,13 +528,15 @@ TEST(NetServer, ConcurrentStatsAndMetricsPollingUnderLoad)
 
     // The final snapshot both parses and satisfies the counter
     // identities the lint audits.
+    const obs::MetricsSnapshot snap = server.metrics();
     DiagnosticSink sink;
-    lintMetricsText(obs::metricsToText(server.metrics()),
-                    "hammer.metrics", sink);
+    lintMetricsText(obs::metricsToText(snap), "hammer.metrics",
+                    sink);
     EXPECT_TRUE(sink.empty()) << sink.renderText();
-    const ServeStats stats = server.stats();
-    EXPECT_EQ(stats.requests, 45u);
-    EXPECT_EQ(stats.latencySamples, 45u);
+    EXPECT_EQ(counter(snap, "serve.requests"), 45u);
+    const auto *latency = snap.findHistogram("serve.latency_ms");
+    ASSERT_NE(latency, nullptr);
+    EXPECT_EQ(latency->hist.count, 45u);
     server.stop();
 }
 

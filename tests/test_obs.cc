@@ -192,6 +192,19 @@ TEST(Metrics, ParserRejectsMalformedText)
         "dmsmetrics v1\nhistogram h count=1 sum=1 max=1 "
         "buckets=5:1,3:2\n",
         out, error));
+    // A repeated name would hide its second value behind the
+    // first one findCounter() returns.
+    EXPECT_FALSE(obs::metricsFromText(
+        "dmsmetrics v1\ncounter serve.requests 10\n"
+        "counter serve.requests 3\n",
+        out, error));
+    EXPECT_NE(error.find("line 3"), std::string::npos) << error;
+    // LatencyHistogram has kBuckets buckets; no index past them.
+    EXPECT_FALSE(obs::metricsFromText(
+        "dmsmetrics v1\nhistogram serve.latency_ms count=5 sum=1 "
+        "max=1 buckets=99999:5\n",
+        out, error));
+    EXPECT_NE(error.find("line 2"), std::string::npos) << error;
 }
 
 TEST(Metrics, RegistryReturnsStableCells)

@@ -18,6 +18,7 @@
 #include "core/dms.h"
 #include "eval/runner.h"
 #include "machine/desc.h"
+#include "obs/metrics.h"
 #include "sched/mii.h"
 #include "sched/scheduler.h"
 #include "serve/cache.h"
@@ -28,6 +29,16 @@
 
 namespace dms {
 namespace {
+
+/** @p service's counter @p name; a missing counter fails the test. */
+std::uint64_t
+counter(const CompileService &service, const char *name)
+{
+    const obs::MetricsSnapshot snap = service.metrics();
+    const auto *c = snap.findCounter(name);
+    EXPECT_NE(c, nullptr) << name;
+    return c != nullptr ? c->value : 0;
+}
 
 /** Canonical request for one named kernel on the paper's ring. */
 CompileRequest
@@ -126,9 +137,8 @@ TEST(Serve, WarmHitBitIdenticalToColdCompile)
     EXPECT_EQ(warm->kernelText, direct_kernel);
     EXPECT_FALSE(warm->kernelText.empty());
 
-    ServeStats stats = service.stats();
-    EXPECT_EQ(stats.misses, 1u);
-    EXPECT_EQ(stats.hits, 1u);
+    EXPECT_EQ(counter(service, "serve.misses"), 1u);
+    EXPECT_EQ(counter(service, "serve.hits"), 1u);
 }
 
 /** Different spellings of one request land on one cache entry. */
@@ -204,15 +214,18 @@ TEST(Serve, SingleFlightDedupUnderConcurrency)
                   seen[key].get());
     }
 
-    ServeStats stats = service.stats();
-    EXPECT_EQ(stats.requests,
+    const std::uint64_t submitted =
+        counter(service, "serve.requests");
+    EXPECT_EQ(submitted,
               static_cast<std::uint64_t>(kClients * kPerClient));
     // Exactly one cold compile per distinct request; everything
     // else was deduplicated (hit or coalesced).
-    EXPECT_EQ(stats.misses, 4u);
-    EXPECT_EQ(stats.hits + stats.coalesced,
-              stats.requests - stats.misses);
-    EXPECT_EQ(stats.invalid, 0u);
+    const std::uint64_t misses = counter(service, "serve.misses");
+    EXPECT_EQ(misses, 4u);
+    EXPECT_EQ(counter(service, "serve.hits") +
+                  counter(service, "serve.coalesced"),
+              submitted - misses);
+    EXPECT_EQ(counter(service, "serve.invalid"), 0u);
 }
 
 /** Malformed requests are rejected without killing the service. */
@@ -258,7 +271,7 @@ TEST(Serve, InvalidRequestsRejectedGracefully)
     CompileService::ResultPtr good =
         service.compile(kernelRequest("daxpy"));
     EXPECT_TRUE(good->ok);
-    EXPECT_EQ(service.stats().invalid, 4u);
+    EXPECT_EQ(counter(service, "serve.invalid"), 4u);
 }
 
 /**
@@ -320,16 +333,14 @@ TEST(Serve, EvictionRecompilesEvictedKeys)
     const char *kernels[] = {"fir8", "daxpy", "iir2", "horner"};
     for (const char *k : kernels)
         ASSERT_TRUE(service.compile(kernelRequest(k))->ok) << k;
-    ServeStats stats = service.stats();
-    EXPECT_EQ(stats.misses, 4u);
-    EXPECT_GT(stats.evictions, 0u);
+    EXPECT_EQ(counter(service, "serve.misses"), 4u);
+    EXPECT_GT(counter(service, "cache.evictions"), 0u);
 
     // fir8 was evicted: recompiles (a miss, not a hit) and still
     // produces the bit-identical result.
     CompileService::ResultPtr again =
         service.compile(kernelRequest("fir8"));
-    stats = service.stats();
-    EXPECT_EQ(stats.misses, 5u);
+    EXPECT_EQ(counter(service, "serve.misses"), 5u);
     EXPECT_TRUE(again->ok);
 }
 
@@ -454,16 +465,17 @@ TEST(Serve, MatrixViaServiceBitIdentical)
     std::vector<ConfigRun> got = runMatrix(suite, routed);
     EXPECT_TRUE(got == want);
 
-    ServeStats after_first = service.stats();
-    EXPECT_EQ(after_first.hits + after_first.coalesced, 0u);
+    const std::uint64_t first_misses =
+        counter(service, "serve.misses");
+    const std::uint64_t first_hits = counter(service, "serve.hits");
+    EXPECT_EQ(first_hits + counter(service, "serve.coalesced"), 0u);
 
     // Second sweep: every cell is a cache hit, same matrix.
     std::vector<ConfigRun> warm = runMatrix(suite, routed);
     EXPECT_TRUE(warm == want);
-    ServeStats after_second = service.stats();
-    EXPECT_EQ(after_second.misses, after_first.misses);
-    EXPECT_EQ(after_second.hits - after_first.hits,
-              after_first.misses);
+    EXPECT_EQ(counter(service, "serve.misses"), first_misses);
+    EXPECT_EQ(counter(service, "serve.hits") - first_hits,
+              first_misses);
 }
 
 /**
