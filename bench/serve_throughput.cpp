@@ -11,6 +11,11 @@
  *          at its worst, one full pipeline run per request;
  *   warm   the hot set replayed after priming: every request a
  *          cache hit;
+ *   respelled  20000 fresh spellings of the primed hot set
+ *          (respelledKernelText: comments, blank lines, spacing,
+ *          remapped op ids): every request parses, canonicalises
+ *          and keys its text, then hits the canonical entry —
+ *          0 misses, asserted;
  *   mixed  the zipf mix from concurrent clients: the serving
  *          steady state, with hit rate and p50/p99 latency.
  *
@@ -26,10 +31,12 @@
  * multiple of cold rps, default 10; the acceptance floor).
  *
  * Regression gate: when DMS_SERVE_BASELINE names a previous
- * BENCH_serve.json, the run fails (exit 1) if warm rps drops more
- * than DMS_SERVE_MAX_DROP percent (default 15) below it — the CI
- * perf-gate job runs merge-base and head back to back and points
- * this at the base run's file, mirroring DMS_HOTPATH_BASELINE.
+ * BENCH_serve.json, the run fails (exit 1) if warm rps or respelled
+ * rps drops more than DMS_SERVE_MAX_DROP percent (default 15) below
+ * the baseline's; a phase the baseline lacks is skipped with a
+ * warning. The CI perf-gate job runs merge-base and head back to
+ * back and points this at the base run's file, mirroring
+ * DMS_HOTPATH_BASELINE.
  */
 
 #include <algorithm>
@@ -86,13 +93,14 @@ counterDelta(const obs::MetricsSnapshot &before,
 }
 
 /**
- * Extract warm.rps from a baseline BENCH_serve.json (string scan;
- * the file is our own single-line emission). Negative when absent.
+ * Extract @p phase's rps from a baseline BENCH_serve.json (string
+ * scan; the file is our own single-line emission). Negative when
+ * absent.
  */
 double
-baselineWarmRps(const std::string &json)
+baselineRps(const std::string &json, const char *phase)
 {
-    const size_t at = json.find("\"warm\":{");
+    const size_t at = json.find(strfmt("\"%s\":{", phase));
     if (at == std::string::npos)
         return -1.0;
     const char *field = "\"rps\":";
@@ -190,6 +198,36 @@ main()
                 "(%.1fx cold)\n",
                 warm.requests, warm.seconds, warm_rps,
                 warm_rps / cold_rps);
+
+    // --- respelled: fresh spellings of the primed hot set --------
+    // Generated up front so the phase times the service's parse,
+    // canonicalisation and keying, not the generator.
+    constexpr int kRespelledRequests = 20000;
+    std::vector<std::string> respelled_texts;
+    respelled_texts.reserve(kRespelledRequests);
+    {
+        Rng rng(kSeed + 3);
+        for (int i = 0; i < kRespelledRequests; ++i) {
+            respelled_texts.push_back(respelledKernelText(
+                hot_texts[zipf.pick(rng)], rng));
+        }
+    }
+    const obs::MetricsSnapshot before_respelled = service.metrics();
+    HammerResult respelled = hammerService(
+        service, kRespelledRequests, clients, machine_text, "dms",
+        kSeed + 3, [&](int i, Rng &) -> std::string {
+            return respelled_texts[static_cast<size_t>(i)];
+        });
+    const std::uint64_t respelled_misses = counterDelta(
+        before_respelled, service.metrics(), "serve.misses");
+    DMS_ASSERT(respelled_misses == 0,
+               "respelled phase missed the cache (%llu)",
+               static_cast<unsigned long long>(respelled_misses));
+    const double respelled_rps = respelled.rps();
+    std::printf("respelled: %d requests in %.3f s = %.0f req/s, "
+                "p50 %.3f ms, p99 %.3f ms\n",
+                respelled.requests, respelled.seconds, respelled_rps,
+                respelled.p50Ms, respelled.p99Ms);
 
     // --- mixed: the zipf steady state with cold churn -----------
     // Phase-local numbers: hit rate from the counter deltas across
@@ -346,6 +384,10 @@ main()
                    cold_requests, cold_rps);
     json += strfmt("\"warm\":{\"requests\":%d,\"rps\":%.1f},",
                    warm.requests, warm_rps);
+    json += strfmt("\"respelled\":{\"requests\":%d,\"rps\":%.1f,"
+                   "\"p50_ms\":%.4f,\"p99_ms\":%.4f},",
+                   respelled.requests, respelled_rps, respelled.p50Ms,
+                   respelled.p99Ms);
     json += strfmt(
         "\"mixed\":{\"requests\":%d,\"rps\":%.1f,"
         "\"hit_rate\":%.4f,\"coalesced\":%llu,"
@@ -416,24 +458,36 @@ main()
         }
         std::stringstream ss;
         ss << in.rdbuf();
-        const double base = baselineWarmRps(ss.str());
-        if (base <= 0) {
-            warn("baseline has no warm rps; skipping gate");
-            return 0;
-        }
         const int max_drop = maxDropPercentFromEnv();
-        const double floor = base * (100 - max_drop) / 100.0;
-        if (warm_rps < floor) {
-            std::fprintf(stderr,
-                         "FAIL: warm %.0f req/s is more than "
-                         "%d%% below baseline %.0f (floor "
-                         "%.0f)\n",
-                         warm_rps, max_drop, base, floor);
-            return 1;
+        bool dropped = false;
+        const struct
+        {
+            const char *phase;
+            double rps;
+        } gated[] = {{"warm", warm_rps}, {"respelled", respelled_rps}};
+        for (const auto &g : gated) {
+            const double base = baselineRps(ss.str(), g.phase);
+            if (base <= 0) {
+                warn("baseline has no %s rps; skipping its gate",
+                     g.phase);
+                continue;
+            }
+            const double floor = base * (100 - max_drop) / 100.0;
+            if (g.rps < floor) {
+                std::fprintf(stderr,
+                             "FAIL: %s %.0f req/s is more than "
+                             "%d%% below baseline %.0f (floor "
+                             "%.0f)\n",
+                             g.phase, g.rps, max_drop, base, floor);
+                dropped = true;
+            } else {
+                std::printf("gate: %s %.0f req/s vs baseline %.0f "
+                            "(floor %.0f) ok\n",
+                            g.phase, g.rps, base, floor);
+            }
         }
-        std::printf("gate: warm %.0f req/s vs baseline %.0f "
-                    "(floor %.0f) ok\n",
-                    warm_rps, base, floor);
+        if (dropped)
+            return 1;
     }
     return 0;
 }

@@ -22,6 +22,18 @@ opcodeName(Opcode opc)
     panic("bad opcode %d", static_cast<int>(opc));
 }
 
+bool
+opcodeFromName(std::string_view name, Opcode &out)
+{
+    for (int i = 0; i < kNumOpcodes; ++i) {
+        if (name == opcodeName(static_cast<Opcode>(i))) {
+            out = static_cast<Opcode>(i);
+            return true;
+        }
+    }
+    return false;
+}
+
 const char *
 fuClassName(FuClass cls)
 {

@@ -20,6 +20,7 @@
  */
 
 #include <cstdint>
+#include <string_view>
 
 namespace dms {
 
@@ -54,6 +55,9 @@ inline constexpr int kNumFuClasses =
 
 /** Short mnemonic, e.g. "mul". */
 const char *opcodeName(Opcode opc);
+
+/** Inverse of opcodeName(); false for any other spelling. */
+bool opcodeFromName(std::string_view name, Opcode &out);
 
 /** Short class name, e.g. "MUL". */
 const char *fuClassName(FuClass cls);

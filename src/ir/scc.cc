@@ -129,11 +129,9 @@ hasRecurrence(const Ddg &ddg)
         if (ddg.edgeActive(e) && ddg.edge(e).src == ddg.edge(e).dst)
             return true;
     }
-    for (const Scc &scc : stronglyConnectedComponents(ddg)) {
-        if (scc.size() > 1)
-            return true;
-    }
-    return false;
+    bool cycle = false;
+    forEachScc(ddg, [&](const OpId *, size_t n) { cycle |= n > 1; });
+    return cycle;
 }
 
 } // namespace dms

@@ -37,8 +37,13 @@ verifyDdg(const Ddg &ddg, const DdgVerifyOptions &opts)
         // Operand slots: each slot fed at most once, slots < arity.
         int arity = opcodeArity(o.opc);
         bool slot_used[2] = {false, false};
-        for (EdgeId e : ddg.flowInputs(id)) {
-            int slot = ddg.edge(e).operandIndex;
+        for (EdgeId e : o.ins) {
+            // Ddg::flowInputs(id), without building the vector.
+            const Edge &in = ddg.edge(e);
+            if (!ddg.edgeActive(e) || in.kind != DepKind::Flow ||
+                in.operandIndex < 0)
+                continue;
+            int slot = in.operandIndex;
             if (slot < 0 || slot >= 2) {
                 complain(strfmt("edge %d has bad operand slot %d",
                                 e, slot));

@@ -10,11 +10,14 @@ namespace dms {
 
 namespace {
 
-/** Whitespace-split one line into tokens. */
-std::vector<std::string>
-tokenize(std::string_view line)
+/**
+ * Split one line (comment already cut) on spaces and tabs into
+ * @p toks, dropping empty fields.
+ */
+void
+tokenize(std::string_view line, std::vector<std::string_view> &toks)
 {
-    std::vector<std::string> toks;
+    toks.clear();
     size_t i = 0;
     while (i < line.size()) {
         while (i < line.size() &&
@@ -24,18 +27,17 @@ tokenize(std::string_view line)
         while (i < line.size() && line[i] != ' ' && line[i] != '\t')
             ++i;
         if (i > start)
-            toks.emplace_back(line.substr(start, i - start));
+            toks.push_back(line.substr(start, i - start));
     }
-    return toks;
 }
 
-/** "key=value" split; false if there is no '='. */
+/** "key=value" split at the first '='; false unless both non-empty. */
 bool
-splitKeyValue(const std::string &tok, std::string &key,
-              std::string &value)
+splitKeyValue(std::string_view tok, std::string_view &key,
+              std::string_view &value)
 {
     size_t eq = tok.find('=');
-    if (eq == std::string::npos || eq == 0 ||
+    if (eq == std::string_view::npos || eq == 0 ||
         eq + 1 >= tok.size()) {
         return false;
     }
@@ -45,19 +47,7 @@ splitKeyValue(const std::string &tok, std::string &key,
 }
 
 bool
-opcodeByName(const std::string &name, Opcode &out)
-{
-    for (int i = 0; i < kNumOpcodes; ++i) {
-        if (name == opcodeName(static_cast<Opcode>(i))) {
-            out = static_cast<Opcode>(i);
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-fuClassByKey(const std::string &key, FuClass &out)
+fuClassByKey(std::string_view key, FuClass &out)
 {
     if (key == "ldst") {
         out = FuClass::LdSt;
@@ -114,28 +104,35 @@ machineFromText(const std::string &text, MachineModel &out,
                 std::string &error)
 {
     ParseState st;
+    std::vector<std::string_view> toks;
     int lineno = 0;
+    // A message quotes a token through a std::string copy, so a
+    // token with an embedded NUL is quoted up to the NUL.
     auto fail = [&](const std::string &msg) {
         error = strfmt("line %d: %s", lineno, msg.c_str());
         return false;
     };
 
-    for (std::string line : split(text, '\n')) {
+    const std::string_view all(text);
+    for (size_t pos = 0; pos <= all.size();) {
         ++lineno;
-        size_t hash = line.find('#');
-        if (hash != std::string::npos)
-            line.erase(hash);
-        std::vector<std::string> toks = tokenize(line);
+        size_t eol = all.find('\n', pos);
+        if (eol == std::string_view::npos)
+            eol = all.size();
+        std::string_view line = all.substr(pos, eol - pos);
+        pos = eol + 1;
+        line = line.substr(0, line.find('#'));
+        tokenize(line, toks);
         if (toks.empty())
             continue;
-        const std::string &key = toks[0];
+        const std::string_view key = toks[0];
 
         if (key == "machine") {
             if (st.sawMachine)
                 return fail("duplicate 'machine'");
             if (toks.size() != 2)
                 return fail("'machine' takes exactly one name");
-            st.name = toks[1];
+            st.name = std::string(toks[1]);
             st.sawMachine = true;
         } else if (key == "clusters") {
             if (st.sawClusters)
@@ -156,11 +153,14 @@ machineFromText(const std::string &text, MachineModel &out,
                 st.topo = TopologyKind::Crossbar;
             } else if (toks.size() == 3 && toks[1] == "mesh") {
                 st.topo = TopologyKind::Mesh;
-                std::vector<std::string> dims =
-                    split(toks[2], 'x');
+                const std::string_view dims = toks[2];
+                const size_t x = dims.find('x');
                 int r = 0, c = 0;
-                if (dims.size() != 2 || !parseInt(dims[0], r) ||
-                    !parseInt(dims[1], c) || r < 1 || c < 1) {
+                if (x == std::string_view::npos ||
+                    dims.find('x', x + 1) != std::string_view::npos ||
+                    !parseInt(dims.substr(0, x), r) ||
+                    !parseInt(dims.substr(x + 1), c) || r < 1 ||
+                    c < 1) {
                     return fail("mesh dims must be RxC, e.g. "
                                 "'topology mesh 2x3'");
                 }
@@ -192,54 +192,57 @@ machineFromText(const std::string &text, MachineModel &out,
                 return fail("'fus' needs class=count entries");
             std::array<bool, kNumFuClasses> seen{};
             for (size_t i = 1; i < toks.size(); ++i) {
-                std::string k, v;
+                std::string_view k, v;
                 FuClass cls;
                 int n = 0;
                 if (!splitKeyValue(toks[i], k, v))
                     return fail(strfmt("malformed fus entry '%s'",
-                                       toks[i].c_str()));
+                                       std::string(toks[i]).c_str()));
                 if (!fuClassByKey(k, cls))
                     return fail(strfmt("unknown FU class '%s' "
                                        "(ldst|add|mul|copy)",
-                                       k.c_str()));
+                                       std::string(k).c_str()));
                 if (seen[static_cast<size_t>(cls)])
                     return fail(strfmt("duplicate FU class '%s'; "
                                        "an earlier entry already "
                                        "set it",
-                                       k.c_str()));
+                                       std::string(k).c_str()));
                 seen[static_cast<size_t>(cls)] = true;
                 if (!parseInt(v, n) || n > 64)
                     return fail(strfmt("FU count '%s' out of range "
-                                       "[0, 64]", v.c_str()));
+                                       "[0, 64]",
+                                       std::string(v).c_str()));
                 st.fus[static_cast<size_t>(cls)] = n;
             }
         } else if (key == "latency") {
             if (toks.size() < 2)
                 return fail("'latency' needs opcode=cycles entries");
             for (size_t i = 1; i < toks.size(); ++i) {
-                std::string k, v;
+                std::string_view k, v;
                 Opcode opc;
                 int n = 0;
                 if (!splitKeyValue(toks[i], k, v))
                     return fail(strfmt("malformed latency entry "
-                                       "'%s'", toks[i].c_str()));
-                if (!opcodeByName(k, opc))
+                                       "'%s'",
+                                       std::string(toks[i]).c_str()));
+                if (!opcodeFromName(k, opc))
                     return fail(strfmt("unknown opcode '%s'",
-                                       k.c_str()));
+                                       std::string(k).c_str()));
                 if (st.sawLatency[static_cast<size_t>(opc)])
                     return fail(strfmt("duplicate latency for "
                                        "opcode '%s'; an earlier "
                                        "entry already set it",
-                                       k.c_str()));
+                                       std::string(k).c_str()));
                 st.sawLatency[static_cast<size_t>(opc)] = true;
                 if (!parseInt(v, n))
                     return fail(strfmt("latency '%s' is not a "
                                        "non-negative integer",
-                                       v.c_str()));
+                                       std::string(v).c_str()));
                 st.lat.set(opc, n);
             }
         } else {
-            return fail(strfmt("unknown key '%s'", key.c_str()));
+            return fail(strfmt("unknown key '%s'",
+                               std::string(key).c_str()));
         }
     }
 
@@ -289,31 +292,38 @@ std::string
 machineToText(const MachineModel &machine)
 {
     std::string out;
-    if (!machine.name().empty())
-        out += strfmt("machine %s\n", machine.name().c_str());
-    out += strfmt("clusters %d\n", machine.numClusters());
-    if (machine.topology() == TopologyKind::Mesh) {
-        out += strfmt("topology mesh %dx%d\n", machine.meshRows(),
-                      machine.meshCols());
-    } else {
-        out += strfmt("topology %s\n",
-                      topologyName(machine.topology()));
+    out.reserve(128);
+    if (!machine.name().empty()) {
+        // Through c_str(), as the pinned canonical bytes have it: a
+        // name with an embedded NUL serializes as its prefix.
+        out += "machine ";
+        out += machine.name().c_str();
+        out += '\n';
     }
-    out += strfmt("regfile %s\n",
-                  machine.regFileKind() == RegFileKind::Queues
-                      ? "queues"
-                      : "conventional");
-    out += strfmt("fus ldst=%d add=%d mul=%d copy=%d\n",
-                  machine.fusPerCluster(FuClass::LdSt),
-                  machine.fusPerCluster(FuClass::Add),
-                  machine.fusPerCluster(FuClass::Mul),
-                  machine.fusPerCluster(FuClass::Copy));
+    appendInt(out, "clusters ", machine.numClusters());
+    out += "\ntopology ";
+    if (machine.topology() == TopologyKind::Mesh) {
+        appendInt(out, "mesh ", machine.meshRows());
+        appendInt(out, "x", machine.meshCols());
+    } else {
+        out += topologyName(machine.topology());
+    }
+    out += machine.regFileKind() == RegFileKind::Queues
+               ? "\nregfile queues\n"
+               : "\nregfile conventional\n";
+    appendInt(out, "fus ldst=", machine.fusPerCluster(FuClass::LdSt));
+    appendInt(out, " add=", machine.fusPerCluster(FuClass::Add));
+    appendInt(out, " mul=", machine.fusPerCluster(FuClass::Mul));
+    appendInt(out, " copy=", machine.fusPerCluster(FuClass::Copy));
+    out += '\n';
     const LatencyModel defaults;
     for (int i = 0; i < kNumOpcodes; ++i) {
         Opcode opc = static_cast<Opcode>(i);
         if (machine.latencyOf(opc) != defaults.of(opc)) {
-            out += strfmt("latency %s=%d\n", opcodeName(opc),
-                          machine.latencyOf(opc));
+            out += "latency ";
+            out += opcodeName(opc);
+            appendInt(out, "=", machine.latencyOf(opc));
+            out += '\n';
         }
     }
     return out;

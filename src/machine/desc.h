@@ -16,7 +16,9 @@
  *   fus ldst=1 add=1 mul=1 copy=1
  *   latency mul=2 div=8           # optional opcode overrides
  *
- * Defaults when a key is absent: 1 cluster, ring topology, a
+ * Fields split on spaces and tabs, and a '#' starts a comment
+ * anywhere on a line (the loop format, workload/text.h, differs on
+ * both). Defaults when a key is absent: 1 cluster, ring topology, a
  * conventional register file, fus ldst=1 add=1 mul=1 copy=0 and the
  * default latency table. Every key except `latency` may appear at
  * most once. Sweep templates may use the placeholder `$C`

@@ -10,6 +10,7 @@
 #include "serve/net.h"
 #include "support/diag.h"
 #include "support/stats.h"
+#include "support/strings.h"
 #include "workload/suite.h"
 #include "workload/text.h"
 
@@ -50,6 +51,47 @@ coldLoopText(std::uint64_t seed, int index)
                     static_cast<std::uint64_t>(index) * 31337));
     SynthParams params;
     return loopToText(synthesizeLoop(rng, params, index));
+}
+
+std::string
+respelledKernelText(const std::string &canonical, Rng &rng)
+{
+    const std::vector<std::string> lines = split(canonical, '\n');
+    int ops = 0;
+    for (const std::string &line : lines)
+        ops += line.rfind("op ", 0) == 0 ? 1 : 0;
+    const int shift = rng.range(1, 997);
+    const int stride = rng.range(1, 3);
+    const bool reversed = rng.chance(0.25);
+    auto remap = [&](int id) {
+        return shift + stride * (reversed ? ops - 1 - id : id);
+    };
+
+    std::string out = "# respelled\n";
+    for (const std::string &line : lines) {
+        if (line.empty())
+            continue;
+        std::vector<std::string> f = split(line, ' ');
+        const size_t ids = f[0] == "op" ? 1 : f[0] == "edge" ? 2 : 0;
+        for (size_t k = 1; k <= ids && k < f.size(); ++k) {
+            int id = 0;
+            parseInt(f[k], id);
+            f[k] = std::to_string(remap(id));
+        }
+        if (rng.chance(0.15))
+            out += "#  comment line\n";
+        if (rng.chance(0.1))
+            out += "\n";
+        out.append(static_cast<size_t>(rng.range(0, 3)), ' ');
+        for (size_t k = 0; k < f.size(); ++k) {
+            if (k > 0)
+                out.append(static_cast<size_t>(rng.range(1, 2)), ' ');
+            out += f[k];
+        }
+        out.append(static_cast<size_t>(rng.range(0, 2)), ' ');
+        out += '\n';
+    }
+    return out;
 }
 
 int

@@ -48,6 +48,17 @@ std::vector<std::string> hotKernelTexts();
 std::string coldLoopText(std::uint64_t seed, int index);
 
 /**
+ * A fresh spelling of the canonical loop text @p canonical (as
+ * loopToText emits it) that canonicalises back to it: comment and
+ * blank lines, extra, leading and trailing spaces, and op ids
+ * remapped — shifted, spaced out, or reversed so they arrive in
+ * descending order. Line order is kept; reordering lines changes
+ * the canonical text.
+ */
+std::string respelledKernelText(const std::string &canonical,
+                                Rng &rng);
+
+/**
  * Client-side fault policy: bounded retry with exponential backoff
  * and deterministic jitter on retryable outcomes (Rejected and
  * Failed — transient by construction; Invalid, Quarantined and

@@ -172,23 +172,35 @@ class JobQueue
  * dms.speculateII is deliberately absent: the speculative and the
  * serial II ladder produce bit-identical artifacts, so requests
  * differing only in that knob must share one entry too.
+ *
+ * Appends to @p key in place: the submit path builds two keys per
+ * request.
  */
-std::string
-optionsKeyPart(const PipelineOptions &po)
+void
+appendOptionsKey(std::string &key, const PipelineOptions &po)
 {
-    return strfmt(
-        "sched=%s;unroll=%d;umax=%d;uops=%d;verify=%d;ra=%d;cg=%d;"
-        "b.budget=%d;b.maxii=%d;d.budget=%d;d.maxii=%d;"
-        "d.restarts=%d;d.chains=%d;d.rule=%d;d.s3=%d",
-        po.scheduler.c_str(), po.forceUnroll, po.unrollMaxFactor,
-        po.unrollMaxOps, po.verify ? 1 : 0, po.regalloc ? 1 : 0,
-        po.codegen ? 1 : 0, po.config.base.budgetRatio,
-        po.config.base.maxII, po.config.dms.budgetRatio,
-        po.config.dms.maxII, po.config.dms.restartsPerII,
-        po.config.dms.enableChains ? 1 : 0,
-        static_cast<int>(po.config.dms.chainRule),
-        static_cast<int>(po.config.dms.s3Policy));
+    // Through c_str(), as the pinned key bytes have it: a scheduler
+    // name with an embedded NUL keys as its prefix.
+    key += "sched=";
+    key += po.scheduler.c_str();
+    appendInt(key, ";unroll=", po.forceUnroll);
+    appendInt(key, ";umax=", po.unrollMaxFactor);
+    appendInt(key, ";uops=", po.unrollMaxOps);
+    appendInt(key, ";verify=", po.verify ? 1 : 0);
+    appendInt(key, ";ra=", po.regalloc ? 1 : 0);
+    appendInt(key, ";cg=", po.codegen ? 1 : 0);
+    appendInt(key, ";b.budget=", po.config.base.budgetRatio);
+    appendInt(key, ";b.maxii=", po.config.base.maxII);
+    appendInt(key, ";d.budget=", po.config.dms.budgetRatio);
+    appendInt(key, ";d.maxii=", po.config.dms.maxII);
+    appendInt(key, ";d.restarts=", po.config.dms.restartsPerII);
+    appendInt(key, ";d.chains=", po.config.dms.enableChains ? 1 : 0);
+    appendInt(key, ";d.rule=", static_cast<int>(po.config.dms.chainRule));
+    appendInt(key, ";d.s3=", static_cast<int>(po.config.dms.s3Policy));
 }
+
+/** Room reserved for appendOptionsKey's part of a key. */
+constexpr size_t kOptionsKeyBytes = 192;
 
 } // namespace
 
@@ -684,11 +696,14 @@ CompileService::Impl::submitImpl(const CompileRequest &request,
         // Fast path: a verbatim repeat of an earlier request
         // resolves through the raw-text alias map without
         // re-parsing anything.
-        std::string raw_key = request.loopText;
+        std::string raw_key;
+        raw_key.reserve(request.loopText.size() +
+                        request.machineText.size() + kOptionsKeyBytes);
+        raw_key += request.loopText;
         raw_key += '\x01';
         raw_key += request.machineText;
         raw_key += '\x01';
-        raw_key += optionsKeyPart(request.options);
+        appendOptionsKey(raw_key, request.options);
         const std::uint64_t raw_hash = fnv1a64(raw_key);
         std::shared_ptr<CacheEntry> alias;
         {
@@ -763,11 +778,16 @@ CompileService::Impl::submitImpl(const CompileRequest &request,
         // entry.
         options.perf = true;
 
-        std::string key = loopToText(loop);
+        const std::string loop_text = loopToText(loop);
+        const std::string machine_text = machineToText(machine);
+        std::string key;
+        key.reserve(loop_text.size() + machine_text.size() +
+                    kOptionsKeyBytes);
+        key += loop_text;
         key += '\x01';
-        key += machineToText(machine);
+        key += machine_text;
         key += '\x01';
-        key += optionsKeyPart(options);
+        appendOptionsKey(key, options);
         ticket.key = fnv1a64(key);
 
         if (quarantineReject(key)) {

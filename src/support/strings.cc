@@ -1,7 +1,6 @@
 #include "support/strings.h"
 
-#include <cctype>
-#include <cerrno>
+#include <charconv>
 #include <climits>
 #include <cstdlib>
 
@@ -38,31 +37,69 @@ join(const std::vector<std::string> &parts, std::string_view sep)
     return out;
 }
 
-std::string
-trim(std::string_view s)
+namespace {
+
+/**
+ * isspace() in the C locale — ' ', \t, \n, \v, \f, \r — without
+ * its per-call locale lookup: the loop and machine parsers trim
+ * every line and integer field.
+ */
+bool
+isAsciiSpace(char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+} // namespace
+
+std::string_view
+trimView(std::string_view s)
 {
     size_t b = 0;
     size_t e = s.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(s[b])))
+    while (b < e && isAsciiSpace(s[b]))
         ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
+    while (e > b && isAsciiSpace(s[e - 1]))
         --e;
-    return std::string(s.substr(b, e - b));
+    return s.substr(b, e - b);
 }
+
+std::string
+trim(std::string_view s)
+{
+    return std::string(trimView(s));
+}
+
+namespace {
+
+/**
+ * The base-10 grammar strtol accepts — surrounding whitespace, an
+ * optional sign, digits — except that the whole of @p s must be
+ * consumed, so bytes after an embedded NUL are no longer ignored.
+ * False on garbage or overflow of long long.
+ */
+bool
+parseDecimal(std::string_view s, long long &out)
+{
+    s = trimView(s);
+    if (!s.empty() && s[0] == '+') {
+        s.remove_prefix(1);
+        if (!s.empty() && s[0] == '-')
+            return false; // "+-5": from_chars would take the '-'
+    }
+    const char *end = s.data() + s.size();
+    auto [ptr, ec] = std::from_chars(s.data(), end, out);
+    return ec == std::errc() && ptr == end;
+}
+
+} // namespace
 
 bool
 parseInt(std::string_view s, int &out)
 {
-    std::string t = trim(s);
-    if (t.empty())
+    long long v = 0;
+    if (!parseDecimal(s, v) || v < 0 || v > INT_MAX)
         return false;
-    char *end = nullptr;
-    errno = 0;
-    long v = std::strtol(t.c_str(), &end, 10);
-    if (end == nullptr || end == t.c_str() || *end != '\0')
-        return false; // empty digits or trailing garbage ("12x")
-    if (errno == ERANGE || v < 0 || v > INT_MAX)
-        return false; // out of int range
     out = static_cast<int>(v);
     return true;
 }
@@ -70,18 +107,26 @@ parseInt(std::string_view s, int &out)
 bool
 parseSignedInt(std::string_view s, int &out)
 {
-    std::string t = trim(s);
-    if (t.empty())
+    long long v = 0;
+    if (!parseDecimal(s, v) || v < INT_MIN || v > INT_MAX)
         return false;
-    char *end = nullptr;
-    errno = 0;
-    long v = std::strtol(t.c_str(), &end, 10);
-    if (end == nullptr || end == t.c_str() || *end != '\0')
-        return false; // empty digits or trailing garbage
-    if (errno == ERANGE || v < INT_MIN || v > INT_MAX)
-        return false; // out of int range
     out = static_cast<int>(v);
     return true;
+}
+
+void
+appendInt(std::string &out, long long v)
+{
+    char buf[24];
+    const auto r = std::to_chars(buf, buf + sizeof buf, v);
+    out.append(buf, r.ptr);
+}
+
+void
+appendInt(std::string &out, std::string_view label, long long v)
+{
+    out += label;
+    appendInt(out, v);
 }
 
 int

@@ -22,7 +22,15 @@ std::string join(const std::vector<std::string> &parts,
 /** Strip leading/trailing ASCII whitespace. */
 std::string trim(std::string_view s);
 
-/** Parse a non-negative integer; returns false on garbage. */
+/** trim() without the copy: a view into @p s. */
+std::string_view trimView(std::string_view s);
+
+/**
+ * Parse a non-negative decimal integer; returns false on garbage.
+ * Surrounding whitespace, a leading '+' or "-0", and leading zeros
+ * are accepted; every other byte of @p s — an embedded NUL
+ * included — must be a digit.
+ */
 bool parseInt(std::string_view s, int &out);
 
 /**
@@ -31,6 +39,12 @@ bool parseInt(std::string_view s, int &out);
  * formats carry signed values (memory offsets, const literals).
  */
 bool parseSignedInt(std::string_view s, int &out);
+
+/** Append the decimal form of @p v to @p out, with no temporary. */
+void appendInt(std::string &out, long long v);
+
+/** Append @p label, then @p v in decimal: one "key=value" field. */
+void appendInt(std::string &out, std::string_view label, long long v);
 
 /**
  * Checked integer environment knob: @p fallback when @p var is

@@ -1,8 +1,11 @@
 #include "workload/text.h"
 
+#include <algorithm>
 #include <fstream>
-#include <map>
 #include <sstream>
+#include <string_view>
+#include <unordered_map>
+#include <vector>
 
 #include "ir/scc.h"
 #include "ir/verify.h"
@@ -15,10 +18,12 @@ namespace {
 
 /**
  * Error-carrying parse state. Every helper returns false after
- * setError(); the public entry points either propagate the message
+ * fail(); the public entry points either propagate the message
  * or fatal() with it, so the strict one-exit-per-line behaviour of
  * the original parser is preserved for the CLI while the service
- * can reject a request without dying.
+ * can reject a request without dying. A message quotes a token
+ * through a std::string copy, so a token with an embedded NUL is
+ * quoted up to the NUL.
  */
 struct ParseState
 {
@@ -36,22 +41,7 @@ struct ParseState
 };
 
 bool
-opcodeFromName(const std::string &name, int line, Opcode &out,
-               ParseState &ps)
-{
-    for (int i = 0; i < kNumOpcodes; ++i) {
-        Opcode o = static_cast<Opcode>(i);
-        if (name == opcodeName(o)) {
-            out = o;
-            return true;
-        }
-    }
-    return ps.fail("line %d: unknown opcode '%s'", line,
-                   name.c_str());
-}
-
-bool
-depKindFromName(const std::string &name, int line, DepKind &out,
+depKindFromName(std::string_view name, int line, DepKind &out,
                 ParseState &ps)
 {
     if (name == "flow")
@@ -64,99 +54,174 @@ depKindFromName(const std::string &name, int line, DepKind &out,
         out = DepKind::Memory;
     else
         return ps.fail("line %d: unknown dependence kind '%s'",
-                       line, name.c_str());
+                       line, std::string(name).c_str());
     return true;
 }
 
-/** Parse "key=value" attributes into a map. */
-bool
-attrs(const std::vector<std::string> &fields, size_t from, int line,
-      std::map<std::string, std::string> &out, ParseState &ps)
+/** One key=value attribute a directive reads. */
+struct Attr
 {
-    out.clear();
+    const char *key;
+    std::string_view value = {};
+    bool present = false;
+};
+
+/**
+ * Match the "key=value" fields from @p from on against @p attrs.
+ * Every field must hold exactly one '='; keys no directive reads
+ * are ignored, and a repeated key keeps its last value.
+ */
+template <size_t N>
+bool
+readAttrs(const std::vector<std::string_view> &fields, size_t from,
+          int line, Attr (&attrs)[N], ParseState &ps)
+{
     for (size_t i = from; i < fields.size(); ++i) {
-        auto kv = split(fields[i], '=');
-        if (kv.size() != 2)
+        const std::string_view f = fields[i];
+        const size_t eq = f.find('=');
+        if (eq == std::string_view::npos ||
+            f.find('=', eq + 1) != std::string_view::npos) {
             return ps.fail("line %d: bad attribute '%s'", line,
-                           fields[i].c_str());
-        out[kv[0]] = kv[1];
+                           std::string(f).c_str());
+        }
+        for (Attr &a : attrs) {
+            if (f.substr(0, eq) == a.key) {
+                a.value = f.substr(eq + 1);
+                a.present = true;
+            }
+        }
     }
     return true;
 }
 
 /**
- * Integer attribute lookup. @p allow_negative selects the signed
+ * Integer attribute value. @p allow_negative selects the signed
  * parse — offsets and const literals are signed in the format,
  * everything else (ids, distances, slots, latencies) is not.
  */
 bool
-attrInt(const std::map<std::string, std::string> &a,
-        const std::string &key, int fallback, int line, int &out,
+attrInt(const Attr &a, int fallback, int line, int &out,
         ParseState &ps, bool allow_negative = false)
 {
-    auto it = a.find(key);
-    if (it == a.end()) {
+    if (!a.present) {
         out = fallback;
         return true;
     }
-    bool ok = allow_negative ? parseSignedInt(it->second, out)
-                             : parseInt(it->second, out);
+    bool ok = allow_negative ? parseSignedInt(a.value, out)
+                             : parseInt(a.value, out);
     if (!ok)
-        return ps.fail("line %d: bad integer for %s", line,
-                       key.c_str());
+        return ps.fail("line %d: bad integer for %s", line, a.key);
     return true;
 }
 
-std::vector<std::string>
-tokens(const std::string &line)
+/** The fields of one trimmed line: split on ' ' only, none empty. */
+void
+splitFields(std::string_view line, std::vector<std::string_view> &out)
 {
-    std::vector<std::string> out;
-    for (const std::string &t : split(trim(line), ' ')) {
-        if (!t.empty())
-            out.push_back(t);
+    out.clear();
+    size_t i = 0;
+    while (i < line.size()) {
+        size_t end = line.find(' ', i);
+        if (end == std::string_view::npos)
+            end = line.size();
+        if (end > i)
+            out.push_back(line.substr(i, end - i));
+        i = end + 1;
     }
-    return out;
 }
+
+/**
+ * File op id -> ddg op id. Ops nearly always arrive in ascending
+ * id order (canonical text, and spellings that shift or space the
+ * ids out), so those ids sit in a flat ascending table searched by
+ * bisection, where entry i names ddg op i. From the first id that
+ * arrives out of order on, ids go to a hash map instead.
+ */
+class FileIds
+{
+  public:
+    OpId
+    find(int fid) const
+    {
+        auto it = std::lower_bound(ascending_.begin(),
+                                   ascending_.end(), fid);
+        if (it != ascending_.end() && *it == fid)
+            return static_cast<OpId>(it - ascending_.begin());
+        if (others_.empty())
+            return kInvalidOp;
+        auto h = others_.find(fid);
+        return h == others_.end() ? kInvalidOp : h->second;
+    }
+
+    void
+    add(int fid, OpId id)
+    {
+        if (others_.empty() &&
+            (ascending_.empty() || fid > ascending_.back()))
+            ascending_.push_back(fid);
+        else
+            others_.emplace(fid, id);
+    }
+
+  private:
+    std::vector<int> ascending_;
+    std::unordered_map<int, OpId> others_;
+};
 
 } // namespace
 
 std::string
 loopToText(const Loop &loop)
 {
-    std::string out = strfmt("loop %s trip %ld\n",
-                             loop.name.c_str(), loop.tripCount);
+    const Ddg &g = loop.ddg;
+    std::string out;
+    out.reserve(loop.name.size() + 32 +
+                32 * static_cast<size_t>(g.numOps() + g.numEdges()));
+    // Through c_str(), as the pinned canonical bytes have it: a name
+    // with an embedded NUL serializes as its prefix.
+    out += "loop ";
+    out += loop.name.c_str();
+    appendInt(out, " trip ", loop.tripCount);
+    out += '\n';
     // Canonical ids: live ops renumbered densely in id order, so a
     // graph with holes (dead ops) serializes identically to its
     // re-parsed self and the text is a stable cache key.
-    std::map<OpId, int> dense;
-    for (OpId id = 0; id < loop.ddg.numOps(); ++id) {
-        if (!loop.ddg.opLive(id))
+    std::vector<int> dense(static_cast<size_t>(g.numOps()), -1);
+    int next = 0;
+    for (OpId id = 0; id < g.numOps(); ++id) {
+        if (!g.opLive(id))
             continue;
-        int fid = static_cast<int>(dense.size());
-        dense[id] = fid;
-        const Operation &o = loop.ddg.op(id);
-        out += strfmt("op %d %s", fid, opcodeName(o.opc));
+        dense[static_cast<size_t>(id)] = next;
+        const Operation &o = g.op(id);
+        appendInt(out, "op ", next++);
+        out += ' ';
+        out += opcodeName(o.opc);
         if (o.memStream >= 0)
-            out += strfmt(" stream=%d", o.memStream);
+            appendInt(out, " stream=", o.memStream);
         if (o.memOffset != 0)
-            out += strfmt(" offset=%d", o.memOffset);
+            appendInt(out, " offset=", o.memOffset);
         if (o.opc == Opcode::Const)
-            out += strfmt(" lit=%lld",
-                          static_cast<long long>(o.literal));
-        out += "\n";
+            appendInt(out, " lit=", o.literal);
+        out += '\n';
     }
-    for (EdgeId e = 0; e < loop.ddg.numEdges(); ++e) {
-        if (!loop.ddg.edgeLive(e))
+    for (EdgeId e = 0; e < g.numEdges(); ++e) {
+        if (!g.edgeLive(e))
             continue;
-        const Edge &ed = loop.ddg.edge(e);
-        out += strfmt("edge %d %d %s dist=%d", dense.at(ed.src),
-                      dense.at(ed.dst), depKindName(ed.kind),
-                      ed.distance);
+        const Edge &ed = g.edge(e);
+        const int src = dense[static_cast<size_t>(ed.src)];
+        const int dst = dense[static_cast<size_t>(ed.dst)];
+        DMS_ASSERT(src >= 0 && dst >= 0, "live edge %d touches a dead op",
+                   e);
+        appendInt(out, "edge ", src);
+        appendInt(out, " ", dst);
+        out += ' ';
+        out += depKindName(ed.kind);
+        appendInt(out, " dist=", ed.distance);
         if (ed.kind == DepKind::Flow)
-            out += strfmt(" slot=%d", ed.operandIndex);
+            appendInt(out, " slot=", ed.operandIndex);
         else
-            out += strfmt(" lat=%d", ed.latency);
-        out += "\n";
+            appendInt(out, " lat=", ed.latency);
+        out += '\n';
     }
     return out;
 }
@@ -168,23 +233,29 @@ loopFromText(const std::string &text, Loop &out, std::string &error,
     ParseState ps;
     out = Loop();
     out.name = "unnamed";
-    std::map<int, OpId> ids; // file id -> ddg id
-    std::map<std::string, std::string> a;
+    FileIds ids;
+    std::vector<std::string_view> f;
 
+    const std::string_view all(text);
     int line_no = 0;
-    for (const std::string &raw : split(text, '\n')) {
+    for (size_t pos = 0; pos <= all.size();) {
         ++line_no;
-        std::string line = trim(raw);
+        size_t eol = all.find('\n', pos);
+        if (eol == std::string_view::npos)
+            eol = all.size();
+        const std::string_view line =
+            trimView(all.substr(pos, eol - pos));
+        pos = eol + 1;
         if (line.empty() || line[0] == '#')
             continue;
-        auto f = tokens(line);
+        splitFields(line, f);
 
         if (f[0] == "loop") {
             if (f.size() < 2) {
                 ps.fail("line %d: loop needs a name", line_no);
                 break;
             }
-            out.name = f[1];
+            out.name = std::string(f[1]);
             if (f.size() >= 4 && f[2] == "trip") {
                 int trip = 0;
                 if (!parseInt(f[3], trip)) {
@@ -203,31 +274,35 @@ loopFromText(const std::string &text, Loop &out, std::string &error,
                 ps.fail("line %d: bad op id", line_no);
                 break;
             }
-            if (ids.count(fid)) {
-                ps.fail("line %d: duplicate op id %d", line_no,
-                        fid);
+            if (ids.find(fid) != kInvalidOp) {
+                ps.fail("line %d: duplicate op id %d", line_no, fid);
                 break;
             }
             Opcode opc = Opcode::Add;
-            if (!opcodeFromName(f[2], line_no, opc, ps))
+            if (!opcodeFromName(f[2], opc)) {
+                ps.fail("line %d: unknown opcode '%s'", line_no,
+                        std::string(f[2]).c_str());
                 break;
-            if (!attrs(f, 3, line_no, a, ps))
+            }
+            Attr a[] = {{"stream"}, {"offset"}, {"lit"}};
+            if (!readAttrs(f, 3, line_no, a, ps))
                 break;
             int stream = -1;
             int offset = 0;
             int literal = 0;
-            if (!attrInt(a, "stream", -1, line_no, stream, ps) ||
-                !attrInt(a, "offset", 0, line_no, offset, ps,
+            if (!attrInt(a[0], -1, line_no, stream, ps) ||
+                !attrInt(a[1], 0, line_no, offset, ps,
                          /*allow_negative=*/true) ||
-                !attrInt(a, "lit", 0, line_no, literal, ps,
+                !attrInt(a[2], 0, line_no, literal, ps,
                          /*allow_negative=*/true)) {
                 break;
             }
             OpId id = out.ddg.addOp(opc);
-            out.ddg.op(id).memStream = stream;
-            out.ddg.op(id).memOffset = offset;
-            out.ddg.op(id).literal = literal;
-            ids[fid] = id;
+            Operation &o = out.ddg.op(id);
+            o.memStream = stream;
+            o.memOffset = offset;
+            o.literal = literal;
+            ids.add(fid, id);
         } else if (f[0] == "edge") {
             if (f.size() < 4) {
                 ps.fail("line %d: edge needs src dst kind",
@@ -240,7 +315,9 @@ loopFromText(const std::string &text, Loop &out, std::string &error,
                 ps.fail("line %d: bad edge endpoints", line_no);
                 break;
             }
-            if (!ids.count(src) || !ids.count(dst)) {
+            const OpId s = ids.find(src);
+            const OpId d = ids.find(dst);
+            if (s == kInvalidOp || d == kInvalidOp) {
                 ps.fail("line %d: edge references unknown op",
                         line_no);
                 break;
@@ -248,14 +325,15 @@ loopFromText(const std::string &text, Loop &out, std::string &error,
             DepKind kind = DepKind::Flow;
             if (!depKindFromName(f[3], line_no, kind, ps))
                 break;
-            if (!attrs(f, 4, line_no, a, ps))
+            Attr a[] = {{"dist"}, {"slot"}, {"lat"}};
+            if (!readAttrs(f, 4, line_no, a, ps))
                 break;
             int dist = 0;
-            if (!attrInt(a, "dist", 0, line_no, dist, ps))
+            if (!attrInt(a[0], 0, line_no, dist, ps))
                 break;
             if (kind == DepKind::Flow) {
                 int slot = 0;
-                if (!attrInt(a, "slot", 0, line_no, slot, ps))
+                if (!attrInt(a[1], 0, line_no, slot, ps))
                     break;
                 if (slot != 0 && slot != 1) {
                     ps.fail("line %d: flow slot must be 0 or 1 "
@@ -263,25 +341,24 @@ loopFromText(const std::string &text, Loop &out, std::string &error,
                             line_no, slot);
                     break;
                 }
-                OpId s = ids[src];
-                if (!producesValue(out.ddg.op(s).opc)) {
+                const Opcode from = out.ddg.op(s).opc;
+                if (!producesValue(from)) {
                     ps.fail("line %d: flow edge from op %d, "
                             "which produces no value",
                             line_no, src);
                     break;
                 }
-                out.ddg.addEdge(s, ids[dst], kind, dist,
-                                lat.of(out.ddg.op(s).opc), slot);
+                out.ddg.addEdge(s, d, kind, dist, lat.of(from), slot);
             } else {
                 int fallback = kind == DepKind::Anti ? 0 : 1;
                 int l = 0;
-                if (!attrInt(a, "lat", fallback, line_no, l, ps))
+                if (!attrInt(a[2], fallback, line_no, l, ps))
                     break;
-                out.ddg.addEdge(ids[src], ids[dst], kind, dist, l);
+                out.ddg.addEdge(s, d, kind, dist, l);
             }
         } else {
             ps.fail("line %d: unknown directive '%s'", line_no,
-                    f[0].c_str());
+                    std::string(f[0]).c_str());
             break;
         }
     }

@@ -24,6 +24,22 @@
  * non-flow edges take an explicit lat=N attribute (default 1 for
  * memory, 0 for anti, 1 for output).
  *
+ * Tokenisation, frozen by the parser pins in tests/test_text.cc:
+ *   - a line is trimmed of ASCII whitespace, then split into fields
+ *     on ' ' only, so a tab inside a line is part of a field
+ *     ("op\t1" is one unknown directive);
+ *   - a '#' starts a comment only as the first byte of a trimmed
+ *     line; anywhere else it is an ordinary byte;
+ *   - attributes are key=value fields with exactly one '='; keys a
+ *     directive does not read are ignored, and a repeated key keeps
+ *     its last value;
+ *   - integer fields take the decimal strtol grammar (surrounding
+ *     whitespace, '+', leading zeros, "-0") and must be consumed
+ *     whole (parseInt).
+ * Op ids need not be dense or ascending. The machine format
+ * (machine/desc.h) tokenises differently: it splits on spaces and
+ * tabs, and a '#' starts a comment anywhere.
+ *
  * loopToText emits the *canonical* form: live operations renumbered
  * densely from 0 in id order, edges in edge-id order, attributes in
  * a fixed order. Canonicalization is idempotent —

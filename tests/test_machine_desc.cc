@@ -10,6 +10,7 @@
 
 #include "eval/runner.h"
 #include "machine/desc.h"
+#include "mutate.h"
 
 namespace {
 
@@ -142,12 +143,14 @@ TEST(MachineDesc, CrossbarIsFullyConnected)
 TEST(MachineDesc, RejectsMalformedInput)
 {
     // Each entry: input, substring expected in the error.
+    using namespace std::string_view_literals;
     const struct
     {
-        const char *text;
+        std::string_view text;
         const char *expect;
     } cases[] = {
         {"bogus 1\n", "unknown key"},
+        {"clusters 4\0x\n"sv, "positive integer"},
         {"clusters 0\n", "positive integer"},
         {"clusters x\n", "positive integer"},
         {"clusters 4 extra\n", "positive integer"},
@@ -171,7 +174,7 @@ TEST(MachineDesc, RejectsMalformedInput)
          "needs copy units"},
     };
     for (const auto &c : cases) {
-        std::string err = parseError(c.text);
+        std::string err = parseError(std::string(c.text));
         EXPECT_NE(err.find(c.expect), std::string::npos)
             << "input: " << c.text << "\nerror: " << err;
     }
@@ -257,6 +260,60 @@ TEST(MachineDesc, CrossLineErrorsPointAtTheOffendingLine)
     EXPECT_NE(err.find("line 3"), std::string::npos) << err;
     EXPECT_NE(err.find("needs copy units"), std::string::npos)
         << err;
+}
+
+/**
+ * Parse outcomes of fixed-seed mutations of machine descriptions:
+ * the canonical text of every accepted input, the error message of
+ * every rejected one. Pins the accepted language, the messages and
+ * line numbers, and the canonical bytes.
+ */
+TEST(MachineDesc, MutationOutcomesPinned)
+{
+    std::vector<std::string> bases = {
+        "# the paper's 4-cluster ring\n"
+        "machine ring4   # name\n"
+        "clusters\t4\n"
+        "\n"
+        "topology ring\n"
+        "regfile queues\n"
+        "fus ldst=1 add=1 mul=1 copy=1\n"
+        "latency mul=2 div=8\n",
+        "clusters 6\ntopology mesh 2x3\nregfile queues\n"
+        "fus copy=1 ldst=2\nlatency load=3\nlatency add=2\n",
+        "machine\tm2#name\n  clusters +02\r\t\nfus copy=01 add=2#\n"
+        "regfile queues\nlatency div=9 load=2 # slow\n",
+    };
+    std::vector<MachineModel> machines = {MachineModel::unclustered(1),
+                                          MachineModel::unclustered(8)};
+    for (int c = 2; c <= 10; ++c)
+        machines.push_back(MachineModel::clusteredRing(c));
+    machines.push_back(MachineModel::custom(
+        5, RegFileKind::Queues, {2, 1, 1, 1}, TopologyKind::Crossbar));
+    MachineModel named = MachineModel::clusteredRing(4, 2);
+    named.setName("ring4");
+    named.latency().set(Opcode::Mul, 4);
+    machines.push_back(named);
+    for (const MachineModel &m : machines)
+        bases.push_back(machineToText(m));
+    const std::vector<std::string> keywords = {
+        "machine", "clusters", "topology", "ring",  "crossbar",
+        "mesh",    "2x3",      "regfile",  "queues", "conventional",
+        "fus",     "ldst=1",   "copy=",    "latency", "mul=3",
+        "$C",      "\nclusters 3",
+    };
+    int accepted = 0;
+    const std::uint64_t hash = mutationOutcomeHash(
+        bases, keywords, 1000, 0x3ac1, accepted,
+        [](const std::string &text, bool &ok) {
+            MachineModel m = MachineModel::unclustered(1);
+            std::string error;
+            ok = machineFromText(text, m, error);
+            return ok ? "ok " + machineToText(m) : "error " + error;
+        });
+    EXPECT_GT(accepted, 300);
+    EXPECT_LT(accepted, 12000);
+    EXPECT_EQ(hash, 0x59ec73689058280cULL) << std::hex << hash;
 }
 
 } // namespace

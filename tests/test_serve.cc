@@ -22,6 +22,7 @@
 #include "sched/mii.h"
 #include "sched/scheduler.h"
 #include "serve/cache.h"
+#include "serve/loadgen.h"
 #include "serve/service.h"
 #include "support/strings.h"
 #include "workload/suite.h"
@@ -141,30 +142,68 @@ TEST(Serve, WarmHitBitIdenticalToColdCompile)
     EXPECT_EQ(counter(service, "serve.hits"), 1u);
 }
 
-/** Different spellings of one request land on one cache entry. */
+/** True if the op lines of a loop text list their ids descending. */
+bool
+descendingOpIds(const std::string &text)
+{
+    int prev = -1;
+    for (const std::string &line : split(text, '\n')) {
+        std::vector<std::string> f;
+        for (const std::string &t : split(line, ' ')) {
+            if (!t.empty())
+                f.push_back(t);
+        }
+        int id = 0;
+        if (f.size() < 2 || f[0] != "op" || !parseInt(f[1], id))
+            continue;
+        if (prev >= 0 && id > prev)
+            return false;
+        prev = id;
+    }
+    return prev >= 0;
+}
+
+/**
+ * Different spellings of one request land on one cache entry:
+ * comments, blank lines, extra spaces and remapped op ids, on every
+ * hot kernel, including a descending-id spelling of each (the
+ * parser's out-of-order id path).
+ */
 TEST(Serve, CanonicalizationUnifiesSpellings)
 {
     ServeOptions so;
     so.workers = 1;
     CompileService service(so);
+    Rng rng(0x5be11);
+    std::string keys;
+    for (const Loop &k : namedKernels()) {
+        CompileRequest req = kernelRequest(k.name.c_str(),
+                                           /*codegen=*/false);
+        CompileService::Ticket primed = service.submit(req);
+        CompileService::ResultPtr first = primed.future.get();
+        ASSERT_TRUE(first->ok) << k.name;
+        keys += strfmt("%016llx\n",
+                       static_cast<unsigned long long>(primed.key));
 
-    CompileRequest req = kernelRequest("daxpy",
-                                       /*codegen=*/false);
-    CompileService::ResultPtr first = service.compile(req);
-    ASSERT_TRUE(first->ok);
-
-    // Same loop, different spelling: comments, blank lines, and a
-    // gap in the op numbering (ids 10, 20, ... instead of dense).
-    CompileRequest alias = req;
-    std::string respelled = "# a comment\n";
-    for (const std::string &line : split(req.loopText, '\n')) {
-        respelled += line;
-        respelled += "\n\n";
+        bool descending = false;
+        for (int i = 0; i < 6 || !descending; ++i) {
+            ASSERT_LT(i, 100) << k.name << ": no descending spelling";
+            CompileRequest alias = req;
+            alias.loopText = respelledKernelText(req.loopText, rng);
+            descending |= descendingOpIds(alias.loopText);
+            CompileService::Ticket t = service.submit(alias);
+            EXPECT_EQ(t.source, CompileService::Source::Hit)
+                << alias.loopText;
+            EXPECT_EQ(t.key, primed.key) << alias.loopText;
+            EXPECT_EQ(t.future.get().get(), first.get())
+                << alias.loopText;
+        }
     }
-    alias.loopText = respelled;
-    CompileService::Ticket t = service.submit(alias);
-    EXPECT_EQ(t.source, CompileService::Source::Hit);
-    EXPECT_EQ(t.future.get().get(), first.get());
+    EXPECT_EQ(counter(service, "serve.misses"), namedKernels().size());
+    // The canonical cache keys themselves (loop text, machine text
+    // and options part), pinned.
+    EXPECT_EQ(fnv1a64(keys), 0x1f5eb5055ab252dcULL)
+        << std::hex << fnv1a64(keys);
 }
 
 /**

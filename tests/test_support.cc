@@ -163,6 +163,24 @@ TEST(Strings, ParseInt)
     EXPECT_FALSE(parseInt("x", v));
     EXPECT_FALSE(parseInt("", v));
     EXPECT_FALSE(parseInt("3x", v));
+    // The strtol grammar: a '+', leading zeros and "-0" are fine;
+    // no whitespace after the sign, no second sign.
+    EXPECT_TRUE(parseInt("+5", v));
+    EXPECT_EQ(v, 5);
+    EXPECT_TRUE(parseInt("\t007\r", v));
+    EXPECT_EQ(v, 7);
+    EXPECT_TRUE(parseInt("-0", v));
+    EXPECT_EQ(v, 0);
+    EXPECT_FALSE(parseInt("+ 5", v));
+    EXPECT_FALSE(parseInt("+-5", v));
+    EXPECT_FALSE(parseInt("-5", v));
+    EXPECT_FALSE(parseInt("2147483648", v));
+    // Every byte must be consumed: nothing hides behind a NUL.
+    v = -1;
+    EXPECT_FALSE(parseInt(std::string("5\0junk", 6), v));
+    EXPECT_FALSE(parseInt(std::string("5\0", 2), v));
+    EXPECT_FALSE(parseInt(std::string("\0" "5", 2), v));
+    EXPECT_EQ(v, -1);
 }
 
 TEST(Strings, ParseSignedInt)
@@ -180,6 +198,12 @@ TEST(Strings, ParseSignedInt)
     // Overflow in both directions is rejected, not clamped.
     EXPECT_FALSE(parseSignedInt("99999999999999", v));
     EXPECT_FALSE(parseSignedInt("-99999999999999", v));
+    EXPECT_TRUE(parseSignedInt("-2147483648", v));
+    EXPECT_EQ(v, -2147483647 - 1);
+    EXPECT_FALSE(parseSignedInt("-2147483649", v));
+    EXPECT_FALSE(parseSignedInt("+-3", v));
+    EXPECT_FALSE(parseSignedInt(std::string("-3\0" "9", 4), v));
+    EXPECT_FALSE(parseSignedInt(std::string("-\0" "3", 3), v));
 }
 
 TEST(Samples, PercentilesNearestRank)

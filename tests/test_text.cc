@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include "machine/desc.h"
+#include "mutate.h"
+#include "serve/loadgen.h"
 #include "sim/reference.h"
 #include "support/diag.h"
 #include "workload/synth.h"
@@ -142,6 +145,15 @@ TEST(Text, NonFatalParseReportsErrors)
     EXPECT_NE(error.find("unknown opcode"), std::string::npos);
     EXPECT_NE(error.find("line 1"), std::string::npos);
 
+    // An id with bytes after an embedded NUL is not an id.
+    using namespace std::string_literals;
+    const std::string nul_id = "loop t trip 1\n"
+                               "op 0 load stream=0\n"
+                               "op 1\0zz store stream=1\n"
+                               "edge 0 1 flow dist=0 slot=0\n"s;
+    EXPECT_FALSE(loopFromText(nul_id, out, error));
+    EXPECT_EQ(error, "line 3: bad op id");
+
     error.clear();
     EXPECT_TRUE(loopFromText(loopToText(kernelFir8()), out, error));
     EXPECT_TRUE(error.empty());
@@ -212,6 +224,93 @@ TEST(Text, FlowLatencyComesFromModel)
                           "edge 0 1 flow dist=0 slot=0\n",
                           lat);
     EXPECT_EQ(l.ddg.edge(0).latency, 9);
+}
+
+/**
+ * Parse outcomes of fixed-seed mutations of the hot kernels and a
+ * synthetic slice: the canonical text (and recurrence bit) of every
+ * accepted input, the error message of every rejected one. The hash
+ * pins the accepted language, every message and line number, and
+ * the canonical bytes.
+ */
+TEST(Text, MutationOutcomesPinned)
+{
+    std::vector<std::string> bases = hotKernelTexts();
+    for (const Loop &l : synthesizeSuite(0x7e57, 24))
+        bases.push_back(loopToText(l));
+    // Legal but far from canonical: ignored and repeated attributes,
+    // signs and leading zeros, a tab inside a line, a CR, ids out of
+    // order.
+    bases.push_back("# every attribute on every directive\n"
+                    "loop odd trip +0012\n"
+                    "op 7 load stream=1 offset=-0 lit=9 foo=bar\n"
+                    "op 3\t add stream=2 stream=3 lit=4 =\n"
+                    "op 5 const lit=-6 offset=+2\n"
+                    "op 9 store stream=+04 lat=2 slot=1\n"
+                    "edge 7 3 flow dist=0 slot=0 lat=9\n"
+                    "edge 5 3 flow slot=1 dist=00\n"
+                    "edge 3 9 flow dist=0 slot=0\n"
+                    "edge 9 7 memory dist=1 slot=x\n"
+                    "edge 3 3 anti dist=1\n"
+                    "   edge 3 9 output dist=+1 lat=0 \r\n");
+    const std::vector<std::string> keywords = {
+        "loop",      "trip",    "op",       "edge",
+        "load",      "store",   "const",    "mul",
+        "flow",      "anti",    "output",   "memory",
+        "stream=",   "offset=-", "lit=",    "dist=1",
+        "slot=1",    "lat=",    " lit=7",   " stream=2",
+        " offset=-1", " lat=3", "\nop 99 add",
+        "\nedge 0 0 flow dist=1 slot=1",
+    };
+    int accepted = 0;
+    const std::uint64_t hash = mutationOutcomeHash(
+        bases, keywords, 150, 0xfa22, accepted,
+        [](const std::string &text, bool &ok) {
+            Loop loop;
+            std::string error;
+            ok = loopFromText(text, loop, error);
+            if (!ok)
+                return "error " + error;
+            return std::string(loop.recurrence ? "rec " : "ok ") +
+                   loopToText(loop);
+        });
+    EXPECT_GT(accepted, 300);
+    EXPECT_LT(accepted, 5000);
+    EXPECT_EQ(hash, 0x67a23fda6c915430ULL) << std::hex << hash;
+}
+
+/**
+ * The canonical bytes are the cache, alias and quarantine keys:
+ * one hash over loopToText of the named kernels and two synthetic
+ * seeds, and machineToText of the standard machine shapes.
+ */
+TEST(Text, CanonicalBytesPinned)
+{
+    std::string all;
+    for (const Loop &k : namedKernels())
+        all += loopToText(k);
+    for (std::uint64_t seed : {3ULL, 0xc0deULL}) {
+        for (const Loop &l : synthesizeSuite(seed, 40))
+            all += loopToText(l);
+    }
+    std::vector<MachineModel> machines = {MachineModel::unclustered(1)};
+    for (int c = 2; c <= 10; ++c)
+        machines.push_back(MachineModel::clusteredRing(c));
+    machines.push_back(MachineModel::custom(
+        6, RegFileKind::Queues, {1, 1, 1, 1}, TopologyKind::Mesh, 2,
+        3));
+    machines.push_back(MachineModel::custom(
+        5, RegFileKind::Conventional, {2, 1, 1, 0},
+        TopologyKind::Crossbar));
+    MachineModel lat = MachineModel::clusteredRing(4, 2);
+    lat.setName("ring4-slowmul");
+    lat.latency().set(Opcode::Mul, 4);
+    lat.latency().set(Opcode::Load, 0);
+    machines.push_back(lat);
+    for (const MachineModel &m : machines)
+        all += machineToText(m);
+    EXPECT_EQ(fnv1a64(all), 0x5633b6d64bd28812ULL)
+        << std::hex << fnv1a64(all);
 }
 
 using TextDeath = ::testing::Test;
