@@ -8,14 +8,18 @@
  * i.e. budgetUsed) and attempts/sec so the perf trajectory of the
  * scheduler core is machine-readable across PRs.
  *
- * Knobs: DMS_SUITE_COUNT (default 200 loops), DMS_HOTPATH_REPS
- * (default 3 timed repetitions; the fastest rep is reported).
+ * Knobs: DMS_SUITE_COUNT (default 200 synthetic loops; the named
+ * kernels bring the suite to 216), DMS_HOTPATH_REPS (default 3
+ * timed repetitions; the fastest rep is reported).
  *
  * Regression gate: when DMS_HOTPATH_BASELINE names a previous
  * BENCH_sched_hotpath.json, the run fails (exit 1) if either
  * scheduler's placements_per_sec drops more than
- * DMS_HOTPATH_MAX_DROP percent (default 15) below the baseline —
- * the CI smoke step points this at the checked-in file.
+ * DMS_HOTPATH_MAX_DROP percent (default 15) below the baseline.
+ * A baseline recorded at another suite_size or reps measured a
+ * different workload, so that also fails (exit 1, before timing)
+ * and names both configs. CI's perf gate runs the merge-base and
+ * the head with the same knobs.
  */
 
 #include <chrono>
@@ -86,8 +90,7 @@ repsFromEnv(int fallback)
 }
 
 Throughput
-timeReps(const std::vector<Prepared> &work, int reps,
-         const DmsParams *dms_params = nullptr)
+timeReps(const std::vector<Prepared> &work, int reps)
 {
     Throughput best;
     for (int r = 0; r < reps; ++r) {
@@ -97,10 +100,7 @@ timeReps(const std::vector<Prepared> &work, int reps,
             if (p.clustered) {
                 MachineModel m =
                     MachineModel::clusteredRing(p.clusters);
-                DmsOutcome out = scheduleDms(
-                    p.body, m,
-                    dms_params != nullptr ? *dms_params
-                                          : DmsParams{});
+                DmsOutcome out = scheduleDms(p.body, m);
                 t.placements += out.sched.budgetUsed;
                 t.attempts += out.sched.attempts;
                 t.scheduled += out.sched.ok ? 1 : 0;
@@ -124,6 +124,47 @@ timeReps(const std::vector<Prepared> &work, int reps,
         }
     }
     return best;
+}
+
+/**
+ * Extract the top-level integer field @p key ("suite_size",
+ * "reps") from a baseline JSON; -1 when absent.
+ */
+long
+baselineConfig(const std::string &json, const char *key)
+{
+    std::string field = strfmt("\"%s\":", key);
+    size_t at = json.find(field);
+    if (at == std::string::npos)
+        return -1;
+    return std::strtol(json.c_str() + at + field.size(), nullptr, 10);
+}
+
+/**
+ * A baseline speaks only for the workload it measured. Returns
+ * false (after an error line naming both configs) when its
+ * suite_size or reps differ from this run's @p loops and @p reps;
+ * @p count is this run's DMS_SUITE_COUNT.
+ */
+bool
+baselineConfigMatches(const std::string &json, const char *path,
+                      long loops, int count, int reps)
+{
+    const long base_loops = baselineConfig(json, "suite_size");
+    const long base_reps = baselineConfig(json, "reps");
+    if (base_loops == loops && base_reps == reps)
+        return true;
+    // The suite is the synthetic loops plus the named kernels;
+    // DMS_SUITE_COUNT counts the former.
+    const long kernels = loops - count;
+    std::fprintf(stderr,
+                 "FAIL: baseline %s measured %ld loops, %ld reps; "
+                 "this run is %ld loops, %d reps. Rerun with "
+                 "DMS_SUITE_COUNT=%ld DMS_HOTPATH_REPS=%ld to "
+                 "compare.\n",
+                 path, base_loops, base_reps, loops, reps,
+                 base_loops - kernels, base_reps);
+    return false;
 }
 
 /**
@@ -286,6 +327,11 @@ main()
     std::vector<Loop> suite = standardSuite(kSuiteSeed, count);
     std::printf("sched_hotpath: %zu loops, %d reps\n", suite.size(),
                 reps);
+    if (baseline_path != nullptr &&
+        !baselineConfigMatches(baseline_json, baseline_path,
+                               static_cast<long>(suite.size()),
+                               count, reps))
+        return 1;
 
     // Pre-process outside the timer: the timed region is the
     // scheduler core only, exactly what this PR optimizes.
@@ -319,29 +365,9 @@ main()
                 ims_t.seconds, ims_t.placementsPerSec(),
                 ims_t.attemptsPerSec());
 
-    // Ladder sub-block: height-table setup cost (full relaxation
-    // per rung vs the incremental HeightLadder) and the speculative
-    // II ladder against the serial one. The speculative walk must
-    // be bit-identical work — same schedules, same attempts, same
-    // budget — so any accounting drift is a fatal bench failure.
+    // Ladder sub-block: height-table setup cost, a full relaxation
+    // per rung vs the incremental HeightLadder.
     LadderCost ladder = timeHeightLadder(dms_work);
-    DmsParams serial_params;
-    serial_params.speculateII = 0;
-    DmsParams spec_params;
-    spec_params.speculateII = 1;
-    Throughput serial_t = timeReps(dms_work, reps, &serial_params);
-    Throughput spec_t = timeReps(dms_work, reps, &spec_params);
-    const bool match = serial_t.scheduled == spec_t.scheduled &&
-                       serial_t.attempts == spec_t.attempts &&
-                       serial_t.placements == spec_t.placements;
-    if (!match) {
-        fatal("speculative ladder diverged from serial: "
-              "%ld/%ld scheduled, %ld/%ld attempts, %ld/%ld "
-              "placements",
-              spec_t.scheduled, serial_t.scheduled,
-              spec_t.attempts, serial_t.attempts,
-              spec_t.placements, serial_t.placements);
-    }
     std::printf("ladder: %ld rungs, full %.4f s, delta %.4f s "
                 "(%.1fx), %ld/%ld ops II-dependent\n",
                 ladder.rungs, ladder.fullSeconds,
@@ -350,10 +376,6 @@ main()
                     ? ladder.fullSeconds / ladder.deltaSeconds
                     : 0.0,
                 ladder.affectedOps, ladder.totalOps);
-    std::printf("ladder: serial %.3f s, speculative %.3f s, "
-                "scheduled match %s\n",
-                serial_t.seconds, spec_t.seconds,
-                match ? "yes" : "no");
 
     std::string json = "{";
     json += "\"bench\":\"sched_hotpath\",";
@@ -368,11 +390,9 @@ main()
     json += strfmt(
         "\"ladder\":{\"rungs\":%ld,\"full_seconds\":%.6f,"
         "\"delta_seconds\":%.6f,\"affected_ops\":%ld,"
-        "\"total_ops\":%ld,\"serial_seconds\":%.6f,"
-        "\"speculative_seconds\":%.6f,\"scheduled_match\":%s}",
+        "\"total_ops\":%ld}",
         ladder.rungs, ladder.fullSeconds, ladder.deltaSeconds,
-        ladder.affectedOps, ladder.totalOps, serial_t.seconds,
-        spec_t.seconds, match ? "true" : "false");
+        ladder.affectedOps, ladder.totalOps);
     json += "}";
 
     const char *path = "BENCH_sched_hotpath.json";

@@ -29,7 +29,6 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
-#include <thread>
 
 #include "codegen/emit.h"
 #include "core/pipeline.h"
@@ -38,7 +37,6 @@
 #include "regalloc/sharing.h"
 #include "sim/exec.h"
 #include "support/diag.h"
-#include "support/strings.h"
 #include "workload/text.h"
 
 namespace {
@@ -134,15 +132,6 @@ main(int argc, char **argv)
     po.forceUnroll = unroll;
     po.regalloc = true;
     po.codegen = true;
-    // Single-compile driver: nothing else is running, so default the
-    // speculative II ladder on when a second core exists
-    // (DMS_SPECULATE_II=0/1 overrides either way).
-    po.config.dms.speculateII =
-        envInt("DMS_SPECULATE_II",
-               std::thread::hardware_concurrency() >= 2 ? 1 : 0,
-               0) > 0
-            ? 1
-            : 0;
     Pipeline pipeline(po);
 
     std::string stages;

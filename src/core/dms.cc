@@ -1,10 +1,6 @@
 #include "core/dms.h"
 
 #include <algorithm>
-#include <atomic>
-#include <climits>
-#include <mutex>
-#include <thread>
 
 #include "core/affinity.h"
 #include "core/chain.h"
@@ -14,8 +10,6 @@
 #include "sched/priority.h"
 #include "sched/worklist.h"
 #include "support/diag.h"
-#include "support/strings.h"
-#include "support/thread_pool.h"
 
 namespace dms {
 
@@ -91,7 +85,6 @@ class DmsAttempt
     bool
     beginAttempt(int ii, int variant)
     {
-        ii_ = ii;
         variant_ = variant;
         ddg_->resetTo(original_);
         ps_->reset(ii);
@@ -108,26 +101,14 @@ class DmsAttempt
         return true;
     }
 
-    /**
-     * Run the pass; true if everything got scheduled in budget.
-     * When @p winner is set (speculative ladder), the attempt
-     * aborts — returning false like a budget exhaustion — once an
-     * attempt earlier in the serial (II, restart) order has won;
-     * aborted attempts sit after the final winner, so their partial
-     * accounting is never merged.
-     */
+    /** Run the pass; true if everything got scheduled in budget. */
     bool
-    run(long budget, long &used,
-        const std::atomic<int> *winner = nullptr, int my_index = 0)
+    run(long budget, long &used)
     {
-        long steps = 0;
         while (ps_->scheduledCount() < ddg_->liveOpCount()) {
             if (budget-- <= 0)
                 return false;
             ++used;
-            if (winner != nullptr && (steps++ & 31) == 0 &&
-                winner->load(std::memory_order_relaxed) < my_index)
-                return false;
             OpId op = worklist_.pop();
             DMS_ASSERT(op != kInvalidOp, "no unscheduled op");
             DMS_ASSERT(ddg_->op(op).origin != OpOrigin::MoveOp,
@@ -529,7 +510,6 @@ class DmsAttempt
     const Ddg &original_;
     const MachineModel &machine_;
     const DmsParams &params_;
-    int ii_ = 0;
     int variant_ = 0;
     std::unique_ptr<Ddg> ddg_;
     std::unique_ptr<PartialSchedule> ps_;
@@ -553,160 +533,6 @@ class DmsAttempt
     ChainPlan best_plan_;
     std::vector<ClusterId> route_scratch_[MachineModel::kNumRoutes];
 };
-
-/**
- * Per-attempt ledger for the speculative ladder. Slot k describes
- * serial attempt k = (II - MII) * restarts + restart; each slot is
- * written by exactly one lane before the join, so the vector needs
- * no locking.
- */
-struct AttemptRecord
-{
-    int attempts = 0; ///< 0 or 1: was this attempt started?
-    long used = 0;    ///< scheduling steps it consumed
-    bool success = false;
-};
-
-/**
- * One speculative lane: runs the serial attempt sequence restricted
- * to indices congruent to @p first (mod 2), in increasing order,
- * against its own attempt arena. CAS-min publishes the first
- * success; a lane stops once the published winner precedes its
- * next index (that attempt's outcome can no longer matter) and
- * aborts mid-attempt through run()'s winner check.
- */
-void
-runSpeculativeLane(DmsAttempt &attempt, int first, int base,
-                   int total, int mii, int restarts, long budget,
-                   std::vector<AttemptRecord> &records,
-                   std::atomic<int> &winner)
-{
-    for (int k = first; k < total; k += 2) {
-        if (winner.load(std::memory_order_acquire) < k)
-            return;
-        const int ii = mii + k / restarts;
-        const int v = k % restarts;
-        AttemptRecord &rec =
-            records[static_cast<size_t>(k - base)];
-        rec.attempts = 1;
-        if (!attempt.beginAttempt(ii, v))
-            continue;
-        if (attempt.run(budget, rec.used, &winner, k)) {
-            rec.success = true;
-            int cur = winner.load(std::memory_order_relaxed);
-            while (k < cur &&
-                   !winner.compare_exchange_weak(
-                       cur, k, std::memory_order_acq_rel)) {
-            }
-            // Later indices in this lane cannot precede this one;
-            // the arena now holds this success for the join.
-            return;
-        }
-    }
-}
-
-/**
- * The two-lane attempt pool behind every speculative ladder in the
- * process, mirroring the pooled-context pattern of the compile
- * service: lane 1 borrows a pool worker while lane 0 runs on the
- * caller. The mutex keeps one ladder at a time in the pool — a
- * concurrent caller (a sweep worker with the knob forced on) falls
- * back to the serial ladder rather than queue behind it, which
- * changes nothing observable: both ladders produce bit-identical
- * results.
- */
-std::mutex &
-speculationMutex()
-{
-    static std::mutex mu;
-    return mu;
-}
-
-ThreadPool &
-speculationPool()
-{
-    static ThreadPool pool(2);
-    return pool;
-}
-
-/** Fold records [base, upto] into the outcome's accounting. */
-void
-mergeRecords(const std::vector<AttemptRecord> &records, int base,
-             int upto, SchedOutcome &sched)
-{
-    for (int k = base; k <= upto; ++k) {
-        const AttemptRecord &rec =
-            records[static_cast<size_t>(k - base)];
-        sched.attempts += rec.attempts;
-        sched.budgetUsed += rec.used;
-    }
-}
-
-/**
- * Speculative remainder of the ladder, entered after the serial
- * loop's first failed attempt (index @p k0 - 1): both lanes walk
- * disjoint halves of the remaining serial attempt order, and the
- * committed result is the attempt with the lowest serial index
- * that succeeded. Every attempt is a deterministic function of
- * (body, machine, params, II, restart) computed in a private
- * arena, and all attempts preceding the winner run to completion
- * (the skip and abort conditions only fire strictly after the
- * published winner), so the merged schedule, attempts count and
- * budgetUsed reproduce the serial ladder exactly. Engaging only
- * after a failure keeps the common first-attempt success free of
- * pool handoffs and second-arena setup.
- *
- * Returns false (leaving @p out untouched) when the pool is busy;
- * the caller then just continues its serial loop.
- */
-bool
-scheduleDmsSpeculative(const Ddg &ddg, const MachineModel &machine,
-                       const DmsParams &params, DmsAttempt &lane0,
-                       int k0, int total, long budget,
-                       int restarts, DmsOutcome &out)
-{
-    std::unique_lock<std::mutex> guard(speculationMutex(),
-                                       std::try_to_lock);
-    if (!guard.owns_lock())
-        return false; // pool busy: caller runs the serial ladder
-
-    const int mii = out.sched.mii;
-    std::vector<AttemptRecord> records(
-        static_cast<size_t>(total - k0));
-    std::atomic<int> winner{INT_MAX};
-
-    DmsAttempt lane1(ddg, machine, params);
-    ThreadPool &pool = speculationPool();
-    pool.submit([&] {
-        runSpeculativeLane(lane1, k0 + 1, k0, total, mii, restarts,
-                           budget, records, winner);
-    });
-    try {
-        runSpeculativeLane(lane0, k0, k0, total, mii, restarts,
-                           budget, records, winner);
-    } catch (...) {
-        // Lane 1 still references our stack frame: poison the
-        // winner so it aborts at its next check, join, rethrow.
-        winner.store(INT_MIN, std::memory_order_release);
-        pool.wait();
-        throw;
-    }
-    pool.wait();
-
-    const int win = winner.load(std::memory_order_acquire);
-    if (win == INT_MAX) {
-        mergeRecords(records, k0, total - 1, out.sched);
-        return true; // exhausted ladder, like serial
-    }
-    mergeRecords(records, k0, win, out.sched);
-    DmsAttempt &winning = (win - k0) % 2 == 0 ? lane0 : lane1;
-    out.sched.ok = true;
-    out.sched.ii = mii + win / restarts;
-    out.sched.movesInserted = winning.liveMoves();
-    out.ddg = winning.takeDdg();
-    out.sched.schedule = winning.takeSchedule();
-    return true;
-}
 
 } // namespace
 
@@ -735,22 +561,8 @@ scheduleDms(const Ddg &ddg, const MachineModel &machine,
     const int total =
         std::max(0, (max_ii - out.sched.mii + 1) * restarts);
 
-    // Explicit 0/1 wins; -1 resolves the environment knob, and the
-    // resolved-on path still backs off on single-core hosts where a
-    // second lane can only add scheduling overhead. Forcing
-    // speculateII = 1 bypasses the core check so tests exercise the
-    // concurrent path everywhere.
-    const bool speculate =
-        params.speculateII >= 0
-            ? params.speculateII != 0
-            : envInt("DMS_SPECULATE_II", 0, 0) > 0 &&
-                  std::thread::hardware_concurrency() >= 2;
-
     DmsAttempt attempt(ddg, machine, params);
-    // Rung spans for the serial ladder only: the speculative walk
-    // runs attempts on pool threads whose interleaving is
-    // nondeterministic, so those stay uninstrumented (their
-    // thread-local trace is null anyway).
+    // One span per (II, restart) rung, under the caller's trace.
     obs::Trace *tr =
         obs::traceArmed() ? obs::currentTrace() : nullptr;
     for (int k = 0; k < total; ++k) {
@@ -769,16 +581,6 @@ scheduleDms(const Ddg &ddg, const MachineModel &machine,
             out.sched.movesInserted = attempt.liveMoves();
             out.ddg = attempt.takeDdg();
             out.sched.schedule = attempt.takeSchedule();
-            return out;
-        }
-        // First failure: the rest of the ladder is the expensive
-        // case — hand it to the two-lane speculative walk, which
-        // finishes the search (success or exhaustion) exactly as
-        // the serial loop would.
-        if (speculate && k + 1 < total &&
-            scheduleDmsSpeculative(ddg, machine, params, attempt,
-                                   k + 1, total, budget, restarts,
-                                   out)) {
             return out;
         }
     }

@@ -87,22 +87,6 @@ struct DmsParams
      */
     int knownResMii = -1;
     int knownRecMii = -1;
-
-    /**
-     * Speculative II ladder: run attempts ahead of the serial
-     * (II, restart) order concurrently on a two-lane attempt pool
-     * and commit the earliest success — the lowest II, lowest
-     * restart — so the schedule, the FNV golden hashes, attempts
-     * and budgetUsed are bit-identical to the serial ladder.
-     *
-     *  1  force on, 0 force serial, -1 (default) resolve the
-     * DMS_SPECULATE_II environment knob, off when unset. Single
-     * compile drivers (dmsc, runLoopClustered) flip the unset
-     * default to on: they have no other parallelism axis. The
-     * compile service and matrix sweeps leave it off — their
-     * workers already are the parallelism.
-     */
-    int speculateII = -1;
 };
 
 /** DMS result: the schedule plus the transformed (spliced) DDG. */

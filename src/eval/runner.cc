@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <memory>
-#include <thread>
 
 #include "machine/desc.h"
 #include "serve/service.h"
@@ -116,17 +115,6 @@ runLoopClustered(const Loop &loop, int clusters,
     RunnerOptions opts;
     opts.dms = params;
     opts.verify = verify;
-    // Single-compile entry point: when the caller left the knob at
-    // its -1 default, flip the speculative ladder on (multi-core
-    // hosts only; DMS_SPECULATE_II still overrides). Matrix sweeps
-    // keep the serial default — their cells are the parallelism.
-    if (opts.dms.speculateII < 0)
-        opts.dms.speculateII =
-            envInt("DMS_SPECULATE_II",
-                   std::thread::hardware_concurrency() >= 2 ? 1 : 0,
-                   0) > 0
-                ? 1
-                : 0;
     Pipeline pipeline(columnOptions("dms", opts));
     CompilationContext ctx;
     return runLoop(pipeline, loop,

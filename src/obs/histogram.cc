@@ -40,8 +40,7 @@ HistogramSnapshot::percentile(double p) const
     if (count == 0)
         return 0.0;
     p = std::min(std::max(p, 0.0), 100.0);
-    // Nearest rank: the ceil(p/100 * n)-th smallest, 1-based
-    // (mirrors Samples::percentile).
+    // Nearest rank: the ceil(p/100 * n)-th smallest, 1-based.
     std::uint64_t rank = static_cast<std::uint64_t>(
         std::ceil(p / 100.0 * static_cast<double>(count)));
     rank = std::max<std::uint64_t>(rank, 1);

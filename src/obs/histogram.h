@@ -3,15 +3,15 @@
 
 /**
  * @file
- * Lock-free log-bucketed latency histogram for the serve hot path.
+ * Lock-free log-bucketed latency histogram for the serve hot path
+ * and the load-generator clients.
  *
- * The service used to record every compile() latency into a
- * mutex-guarded exact sample store (support/stats.h Samples); at
- * socket-level request rates that mutex is a real serialization
- * point and the per-snapshot copy of the reservoir is O(samples).
- * LatencyHistogram replaces it: a fixed array of atomic counters,
- * one relaxed fetch_add per record() (wait-free, no allocation, no
- * lock), and snapshots that are a plain relaxed sweep of the array.
+ * An exact sample store would need a mutex, a real serialization
+ * point at socket-level request rates, and an O(samples) copy per
+ * snapshot. LatencyHistogram is a fixed array of atomic counters
+ * instead: one relaxed fetch_add per record() (wait-free, no
+ * allocation, no lock), and snapshots that are a plain relaxed
+ * sweep of the array.
  *
  * ## Bucket layout and error bound
  *
@@ -40,11 +40,11 @@
  * even against concurrent record() calls.
  *
  * Percentiles use the nearest-rank definition over the bucket
- * counts, mirroring Samples::percentile: the k-th smallest value
- * lies in the bucket where the cumulative count first reaches k
- * (bucketFor is monotone), so the reported midpoint is within the
- * bound above of the exact nearest-rank sample — the parity test
- * in tests/test_obs.cc pins this against Samples per workload.
+ * counts: the k-th smallest value lies in the bucket where the
+ * cumulative count first reaches k (bucketFor is monotone), so the
+ * reported midpoint is within the bound above of the exact
+ * nearest-rank sample — the parity test in tests/test_obs.cc pins
+ * this per workload against the exact store in tests/samples.h.
  */
 
 #include <atomic>

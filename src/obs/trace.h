@@ -24,14 +24,13 @@
  * time: the submitting client up to the queue push, then the
  * worker (the queue's push/pop pair orders the handoff). The
  * schedulers' rung spans reach the active trace through a
- * thread-local (currentTrace), set by the worker around runLoop —
- * pool threads of the speculative II walk see a null thread-local
- * and stay uninstrumented (their interleaving is nondeterministic;
- * the serial ladder is the traced one). Finished traces are
- * committed to the process-wide bounded TraceLog, which dmsd
- * drains into Chrome trace_event JSON (--trace-out) — one event
- * per line so dmslint's obs.trace-nesting checker can report
- * 1-based line numbers.
+ * thread-local (currentTrace), set by the worker around runLoop,
+ * so a scheduler only records on the thread that owns the trace;
+ * any other thread sees a null thread-local and records nothing.
+ * Finished traces are committed to the process-wide bounded
+ * TraceLog, which dmsd drains into Chrome trace_event JSON
+ * (--trace-out) — one event per line so dmslint's
+ * obs.trace-nesting checker can report 1-based line numbers.
  */
 
 #include <atomic>

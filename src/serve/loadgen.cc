@@ -4,12 +4,11 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <mutex>
 #include <thread>
 
+#include "obs/histogram.h"
 #include "serve/net.h"
 #include "support/diag.h"
-#include "support/stats.h"
 #include "support/strings.h"
 #include "workload/suite.h"
 #include "workload/text.h"
@@ -161,6 +160,90 @@ compileWithRetry(CompileService &service, CompileRequest request,
     }
 }
 
+namespace {
+
+/**
+ * One client thread's tallies. Each client records into its own
+ * histogram, so warm-phase clients never contend on shared
+ * atomics; the tallies are folded after the join.
+ */
+struct ClientTally
+{
+    obs::LatencyHistogram latency;
+    int retries = 0;
+    int failures = 0;
+    int byStatus[7] = {0, 0, 0, 0, 0, 0, 0};
+
+    void
+    add(const CompileResult &result,
+        std::chrono::steady_clock::time_point r0)
+    {
+        latency.record(std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - r0)
+                           .count());
+        ++byStatus[static_cast<size_t>(result.status)];
+        if (!result.parsed || !result.ok)
+            ++failures;
+    }
+};
+
+/** The standard serving request for one loop text. */
+CompileRequest
+hammerRequest(std::string loopText, const std::string &machineText,
+              const std::string &scheduler)
+{
+    CompileRequest req;
+    req.loopText = std::move(loopText);
+    req.machineText = machineText;
+    req.options.scheduler = scheduler;
+    req.options.regalloc = true;
+    return req;
+}
+
+/**
+ * Run @p client(rng, tally) on max(@p clients, 1) threads, each
+ * with its own rng (seeded from @p seed) and tally, and fold the
+ * tallies into one result for @p total requests.
+ */
+HammerResult
+runClients(int total, int clients, std::uint64_t seed,
+           const std::function<void(Rng &, ClientTally &)> &client)
+{
+    const int n = std::max(clients, 1);
+    std::vector<ClientTally> tallies(static_cast<size_t>(n));
+    auto t0 = std::chrono::steady_clock::now();
+    std::vector<std::thread> threads;
+    threads.reserve(static_cast<size_t>(n));
+    for (int t = 0; t < n; ++t) {
+        threads.emplace_back([&, t] {
+            Rng rng(seed + static_cast<std::uint64_t>(t) * 104729);
+            client(rng, tallies[static_cast<size_t>(t)]);
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+
+    HammerResult out;
+    out.requests = total;
+    out.seconds = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+    obs::HistogramSnapshot latency;
+    for (const ClientTally &tally : tallies) {
+        out.failures += tally.failures;
+        out.retries += tally.retries;
+        for (size_t s = 0; s < 7; ++s)
+            out.byStatus[s] += tally.byStatus[s];
+        latency.merge(tally.latency.snapshot());
+    }
+    out.p50Ms = latency.percentile(50);
+    out.p90Ms = latency.percentile(90);
+    out.p99Ms = latency.percentile(99);
+    return out;
+}
+
+} // namespace
+
 HammerResult
 hammerService(
     CompileService &service, int total, int clients,
@@ -170,62 +253,19 @@ hammerService(
     const RetryPolicy &policy)
 {
     std::atomic<int> dispatched{0};
-    std::atomic<int> failures{0};
-    std::atomic<int> retries{0};
-    std::atomic<int> by_status[7] = {};
-    std::mutex latency_mu;
-    Samples latencies;
-    auto t0 = std::chrono::steady_clock::now();
-    auto client = [&](int tid) {
-        Rng rng(seed + static_cast<std::uint64_t>(tid) * 104729);
-        Samples local;
-        int local_retries = 0;
-        while (true) {
-            int i = dispatched.fetch_add(1);
-            if (i >= total)
-                break;
-            CompileRequest req;
-            req.loopText = makeLoop(i, rng);
-            req.machineText = machineText;
-            req.options.scheduler = scheduler;
-            req.options.regalloc = true;
+    return runClients(total, clients, seed, [&](Rng &rng,
+                                                ClientTally &tally) {
+        for (int i = dispatched.fetch_add(1); i < total;
+             i = dispatched.fetch_add(1)) {
+            CompileRequest req = hammerRequest(
+                makeLoop(i, rng), machineText, scheduler);
             auto r0 = std::chrono::steady_clock::now();
             CompileService::ResultPtr result = compileWithRetry(
-                service, req, policy, rng, &local_retries);
-            local.add(std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - r0)
-                          .count());
-            by_status[static_cast<size_t>(result->status)]
-                .fetch_add(1);
-            if (!result->parsed || !result->ok)
-                failures.fetch_add(1);
+                service, std::move(req), policy, rng,
+                &tally.retries);
+            tally.add(*result, r0);
         }
-        retries.fetch_add(local_retries);
-        std::lock_guard<std::mutex> lock(latency_mu);
-        latencies.merge(local);
-    };
-    std::vector<std::thread> threads;
-    int n = std::max(clients, 1);
-    threads.reserve(static_cast<size_t>(n));
-    for (int t = 0; t < n; ++t)
-        threads.emplace_back(client, t);
-    for (std::thread &t : threads)
-        t.join();
-
-    HammerResult out;
-    out.requests = total;
-    out.failures = failures.load();
-    out.retries = retries.load();
-    for (size_t s = 0; s < 7; ++s)
-        out.byStatus[s] = by_status[s].load();
-    out.seconds = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-    out.p50Ms = latencies.percentile(50);
-    out.p90Ms = latencies.percentile(90);
-    out.p99Ms = latencies.percentile(99);
-    out.maxMs = latencies.max();
-    return out;
+    });
 }
 
 HammerResult
@@ -237,28 +277,15 @@ hammerNetwork(
     const RetryPolicy &policy, int connectTimeoutMs)
 {
     std::atomic<int> dispatched{0};
-    std::atomic<int> failures{0};
-    std::atomic<int> retries{0};
-    std::atomic<int> by_status[7] = {};
-    std::mutex latency_mu;
-    Samples latencies;
-    auto t0 = std::chrono::steady_clock::now();
-    auto client = [&](int tid) {
-        Rng rng(seed + static_cast<std::uint64_t>(tid) * 104729);
-        Samples local;
-        int local_retries = 0;
+    return runClients(total, clients, seed, [&](Rng &rng,
+                                                ClientTally &tally) {
         NetClient net;
         std::string err;
         net.connect(host, port, connectTimeoutMs, err);
-        while (true) {
-            int i = dispatched.fetch_add(1);
-            if (i >= total)
-                break;
-            CompileRequest req;
-            req.loopText = makeLoop(i, rng);
-            req.machineText = machineText;
-            req.options.scheduler = scheduler;
-            req.options.regalloc = true;
+        for (int i = dispatched.fetch_add(1); i < total;
+             i = dispatched.fetch_add(1)) {
+            CompileRequest req = hammerRequest(
+                makeLoop(i, rng), machineText, scheduler);
             req.deadlineMs = policy.deadlineMs;
             auto r0 = std::chrono::steady_clock::now();
             CompileResult result;
@@ -280,45 +307,14 @@ hammerNetwork(
                         std::max(policy.maxAttempts, 1) ||
                     !policy.shouldRetry(result.status))
                     break;
-                ++local_retries;
+                ++tally.retries;
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(
                         policy.delayMs(attempt, rng)));
             }
-            local.add(std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - r0)
-                          .count());
-            by_status[static_cast<size_t>(result.status)]
-                .fetch_add(1);
-            if (!result.parsed || !result.ok)
-                failures.fetch_add(1);
+            tally.add(result, r0);
         }
-        retries.fetch_add(local_retries);
-        std::lock_guard<std::mutex> lock(latency_mu);
-        latencies.merge(local);
-    };
-    std::vector<std::thread> threads;
-    int n = std::max(clients, 1);
-    threads.reserve(static_cast<size_t>(n));
-    for (int t = 0; t < n; ++t)
-        threads.emplace_back(client, t);
-    for (std::thread &t : threads)
-        t.join();
-
-    HammerResult out;
-    out.requests = total;
-    out.failures = failures.load();
-    out.retries = retries.load();
-    for (size_t s = 0; s < 7; ++s)
-        out.byStatus[s] = by_status[s].load();
-    out.seconds = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-    out.p50Ms = latencies.percentile(50);
-    out.p90Ms = latencies.percentile(90);
-    out.p99Ms = latencies.percentile(99);
-    out.maxMs = latencies.max();
-    return out;
+    });
 }
 
 } // namespace dms

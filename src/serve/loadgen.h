@@ -130,12 +130,14 @@ struct HammerResult
      * Measured client-side around each compile(), so a phase's
      * percentiles are its own — unlike the service's
      * serve.latency_ms histogram, which spans its whole lifetime.
+     * Each client records into its own obs::LatencyHistogram and
+     * the snapshots merge after the join, so these are bucket
+     * midpoints (within 3.125% of the exact nearest-rank value).
      */
     /// @{
     double p50Ms = 0;
     double p90Ms = 0;
     double p99Ms = 0;
-    double maxMs = 0;
     /// @}
 
     double
@@ -166,7 +168,7 @@ HammerResult hammerService(
  * its own NetClient connection to @p host:@p port, firing
  * @p total requests through the wire protocol (serve/net.h).
  * Latency is measured client-side around each round trip and
- * merged exactly like hammerService. Transport failures —
+ * merged as in hammerService. Transport failures —
  * connection refused mid-run, EOF from an injected
  * serve.net.* fault, a garbled response — are synthesized as
  * retryable Failed results and the connection is re-established,

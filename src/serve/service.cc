@@ -169,10 +169,6 @@ class JobQueue
  * (it panics rather than producing a different result), so analyzed
  * and plain requests must share one cache entry.
  *
- * dms.speculateII is deliberately absent: the speculative and the
- * serial II ladder produce bit-identical artifacts, so requests
- * differing only in that knob must share one entry too.
- *
  * Appends to @p key in place: the submit path builds two keys per
  * request.
  */

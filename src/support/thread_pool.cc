@@ -64,15 +64,6 @@ ThreadPool::workerLoop()
 void
 ThreadPool::submit(std::function<void()> task)
 {
-    if (jobs_ <= 1) {
-        try {
-            task();
-        } catch (...) {
-            if (!firstError_)
-                firstError_ = std::current_exception();
-        }
-        return;
-    }
     {
         std::lock_guard<std::mutex> lock(mu_);
         queue_.push_back(std::move(task));
@@ -94,13 +85,6 @@ ThreadPool::wait()
     }
     if (err)
         std::rethrow_exception(err);
-}
-
-void
-ThreadPool::parallelFor(size_t n,
-                        const std::function<void(size_t)> &body)
-{
-    parallelForWorker(n, [&body](size_t i, int) { body(i); });
 }
 
 void

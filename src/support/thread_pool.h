@@ -5,9 +5,9 @@
  * @file
  * A small fixed-size thread pool with a chunked parallel-for, used
  * by the evaluation runner to schedule independent matrix cells
- * concurrently. Tasks are self-scheduled: parallelFor workers pull
- * indices from a shared atomic counter, so heavyweight cells (a
- * full modulo-scheduling run each) balance automatically without a
+ * concurrently. Tasks are self-scheduled: workers pull indices
+ * from a shared atomic counter, so heavyweight cells (a full
+ * modulo-scheduling run each) balance automatically without a
  * static partition.
  */
 
@@ -38,31 +38,18 @@ class ThreadPool
     /** Worker count this pool executes with (>= 1). */
     int jobs() const { return jobs_; }
 
-    /** Enqueue a task; runs inline when jobs() == 1. */
-    void submit(std::function<void()> task);
-
     /**
-     * Block until every submitted task has finished. Rethrows the
-     * first exception a task raised, if any.
-     */
-    void wait();
-
-    /**
-     * Run body(0..n-1), each index exactly once, distributed over
-     * the pool's workers with dynamic (chunk-of-1) self-scheduling.
-     * Blocks until all indices are done; rethrows the first
-     * exception a body raised. Safe to call repeatedly; must not be
-     * called from inside a pool task.
-     */
-    void parallelFor(size_t n, const std::function<void(size_t)> &body);
-
-    /**
-     * parallelFor variant whose body also receives a dense worker
-     * slot in [0, jobs()): every index executed by the same task
-     * sees the same slot, so callers can hand each worker its own
+     * Run body(i, slot) for i in 0..n-1, each index exactly once,
+     * distributed over the pool's workers with dynamic (chunk-of-1)
+     * self-scheduling. The body also receives a dense worker slot
+     * in [0, jobs()): every index executed by the same task sees
+     * the same slot, so callers can hand each worker its own
      * reusable state (arena, compilation context) without locking.
      * Slot assignment is an implementation detail — only the
-     * "exclusive while running" property is guaranteed.
+     * "exclusive while running" property is guaranteed. Blocks
+     * until all indices are done; rethrows the first exception a
+     * body raised. Safe to call repeatedly; must not be called from
+     * inside a pool task.
      */
     void parallelForWorker(
         size_t n, const std::function<void(size_t, int)> &body);
@@ -82,6 +69,15 @@ class ThreadPool
     static int jobsFromEnv(int fallback);
 
   private:
+    /** Enqueue a task for the workers (jobs() > 1 only). */
+    void submit(std::function<void()> task);
+
+    /**
+     * Block until every submitted task has finished. Rethrows the
+     * first exception a task raised, if any.
+     */
+    void wait();
+
     void workerLoop();
 
     int jobs_;

@@ -22,10 +22,10 @@
 #include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "samples.h"
 #include "serve/net.h"
 #include "serve/service.h"
 #include "support/rng.h"
-#include "support/stats.h"
 #include "workload/text.h"
 
 namespace dms {

@@ -3,8 +3,8 @@
  * Height-ladder correctness: the incremental table must be
  * bit-identical to a full recompute at every rung (the delta-height
  * fuzz oracle), divergence below RecMII must be a recoverable
- * failure rather than a panic, and the speculative II ladder must
- * produce byte-identical schedules to the serial one.
+ * failure rather than a panic, and the DMS II ladder's placements
+ * and attempt/budget accounting are pinned to a recorded value.
  */
 
 #include <cstdint>
@@ -147,7 +147,7 @@ class Fnv
 
 /** Hash every placement plus the attempt/budget accounting. */
 std::uint64_t
-ladderFingerprint(int speculate)
+ladderFingerprint()
 {
     Fnv fnv;
     for (const Loop &loop : namedKernels()) {
@@ -157,9 +157,7 @@ ladderFingerprint(int speculate)
             Ddg body = applyUnrollPolicy(loop.ddg, machine);
             singleUsePrepass(body,
                              machine.latencyOf(Opcode::Copy));
-            DmsParams params;
-            params.speculateII = speculate;
-            DmsOutcome out = scheduleDms(body, machine, params);
+            DmsOutcome out = scheduleDms(body, machine);
 
             fnv.mix(static_cast<std::uint64_t>(clusters));
             fnv.mix(out.sched.ok ? 1 : 0);
@@ -187,11 +185,12 @@ ladderFingerprint(int speculate)
     return fnv.value();
 }
 
-TEST(SpeculativeLadder, ByteIdenticalToSerial)
+TEST(DmsLadder, AccountingPinned)
 {
-    // speculateII = 1 forces the two-lane walk even on single-core
-    // hosts, so this exercises the concurrent path everywhere.
-    EXPECT_EQ(ladderFingerprint(0), ladderFingerprint(1));
+    // The golden FNV hashes cover placements only; this pin also
+    // covers how many (II, restart) attempts the ladder took and
+    // the scheduling steps it spent getting there.
+    EXPECT_EQ(ladderFingerprint(), 0x1e95b28fd1aec949ULL);
 }
 
 } // namespace

@@ -1,14 +1,15 @@
 /**
  * @file
- * Unit tests for the support layer: formatting, RNG, statistics,
- * tables and string helpers.
+ * Unit tests for the support layer: formatting, RNG, tables and
+ * string helpers, plus the exact sample store the histogram tests
+ * use as their oracle (tests/samples.h).
  */
 
 #include <gtest/gtest.h>
 
+#include "samples.h"
 #include "support/diag.h"
 #include "support/rng.h"
-#include "support/stats.h"
 #include "support/strings.h"
 #include "support/table.h"
 

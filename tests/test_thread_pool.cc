@@ -1,13 +1,12 @@
 /**
  * @file
- * Thread pool unit tests: task execution, drain semantics,
- * parallelFor index coverage, exception propagation, and the
- * DMS_JOBS environment knob.
+ * Thread pool unit tests: parallelForWorker index coverage, worker
+ * slots, exception propagation and reuse after a failed run, and
+ * the DMS_JOBS environment knob.
  */
 
 #include <atomic>
 #include <cstdlib>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -29,50 +28,32 @@ TEST(ThreadPool, JobsDefaultsArePositive)
     EXPECT_EQ(p4.jobs(), 4);
 }
 
-TEST(ThreadPool, SubmitRunsEveryTask)
-{
-    for (int jobs : {1, 2, 4}) {
-        ThreadPool pool(jobs);
-        std::atomic<int> sum{0};
-        for (int i = 1; i <= 100; ++i)
-            pool.submit([&sum, i] { sum += i; });
-        pool.wait();
-        EXPECT_EQ(sum.load(), 5050) << "jobs=" << jobs;
-    }
-}
-
-TEST(ThreadPool, WaitIsIdempotentAndReusable)
-{
-    ThreadPool pool(3);
-    pool.wait(); // no tasks: returns immediately
-    std::atomic<int> count{0};
-    pool.submit([&] { ++count; });
-    pool.wait();
-    pool.wait();
-    pool.submit([&] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 2);
-}
-
-TEST(ThreadPool, ParallelForCoversEachIndexExactlyOnce)
+TEST(ThreadPool, ParallelForWorkerCoversEachIndexExactlyOnce)
 {
     for (int jobs : {1, 2, 8}) {
         ThreadPool pool(jobs);
         const size_t n = 1000;
         std::vector<std::atomic<int>> hits(n);
-        pool.parallelFor(n, [&](size_t i) { ++hits[i]; });
+        pool.parallelForWorker(n, [&](size_t i, int slot) {
+            ASSERT_GE(slot, 0);
+            ASSERT_LT(slot, pool.jobs());
+            ++hits[i];
+        });
         for (size_t i = 0; i < n; ++i)
             ASSERT_EQ(hits[i].load(), 1)
                 << "index " << i << " jobs=" << jobs;
     }
 }
 
-TEST(ThreadPool, ParallelForZeroAndFewerItemsThanWorkers)
+TEST(ThreadPool, ParallelForWorkerZeroAndFewerItemsThanWorkers)
 {
     ThreadPool pool(8);
-    pool.parallelFor(0, [](size_t) { FAIL(); });
+    pool.parallelForWorker(0, [](size_t, int) { FAIL(); });
     std::atomic<int> count{0};
-    pool.parallelFor(3, [&](size_t) { ++count; });
+    pool.parallelForWorker(3, [&](size_t, int slot) {
+        EXPECT_LT(slot, pool.jobs());
+        ++count;
+    });
     EXPECT_EQ(count.load(), 3);
 }
 
@@ -83,34 +64,38 @@ TEST(ThreadPool, DeterministicOutputSlotsAcrossJobCounts)
     const size_t n = 256;
     std::vector<long> serial(n);
     ThreadPool one(1);
-    one.parallelFor(n, [&](size_t i) {
+    one.parallelForWorker(n, [&](size_t i, int slot) {
+        EXPECT_EQ(slot, 0);
         serial[i] = static_cast<long>(i * i + 7);
     });
     for (int jobs : {2, 4, 8}) {
         std::vector<long> par(n);
         ThreadPool pool(jobs);
-        pool.parallelFor(n, [&](size_t i) {
+        pool.parallelForWorker(n, [&](size_t i, int slot) {
+            EXPECT_LT(slot, jobs);
             par[i] = static_cast<long>(i * i + 7);
         });
         EXPECT_EQ(par, serial) << "jobs=" << jobs;
     }
 }
 
-TEST(ThreadPool, ExceptionsPropagateToParallelFor)
+TEST(ThreadPool, ExceptionsPropagateToParallelForWorker)
 {
     for (int jobs : {1, 4}) {
         ThreadPool pool(jobs);
-        EXPECT_THROW(pool.parallelFor(32,
-                                      [](size_t i) {
-                                          if (i == 13)
-                                              throw std::runtime_error(
-                                                  "boom");
-                                      }),
+        auto boom = [](size_t i, int) {
+            if (i == 13)
+                throw std::runtime_error("boom");
+        };
+        EXPECT_THROW(pool.parallelForWorker(32, boom),
                      std::runtime_error)
             << "jobs=" << jobs;
         // The pool stays usable after a failed run.
         std::atomic<int> count{0};
-        pool.parallelFor(8, [&](size_t) { ++count; });
+        pool.parallelForWorker(8, [&](size_t, int slot) {
+            EXPECT_LT(slot, jobs);
+            ++count;
+        });
         EXPECT_EQ(count.load(), 8);
     }
 }
