@@ -126,16 +126,6 @@ sourceName(CompileService::Source s)
         return "coalesced";
     case CompileService::Source::Hit:
         return "hit";
-    case CompileService::Source::Invalid:
-        return "invalid";
-    case CompileService::Source::Rejected:
-        return "rejected";
-    case CompileService::Source::Quarantined:
-        return "quarantined";
-    case CompileService::Source::Failed:
-        return "failed";
-    case CompileService::Source::Expired:
-        return "expired";
     }
     return "?";
 }
@@ -517,7 +507,7 @@ runNetworkLoadGenerator(const std::string &host, int port,
                 res.count(CompileStatus::Rejected),
                 res.count(CompileStatus::Quarantined));
     int resolved = 0;
-    for (size_t st = 0; st < 7; ++st)
+    for (size_t st = 0; st < kCompileStatusCount; ++st)
         resolved += res.byStatus[st];
     std::printf("network: %d/%d requests terminal, %.1f rps, "
                 "p50 %.3f ms, p99 %.3f ms\n",
@@ -671,10 +661,9 @@ main(int argc, char **argv)
         opts.workers = workers;
     CompileService service(opts);
     std::printf("dmsd: %d workers, queue depth %d, %d cache "
-                "shards, capacity %d, %s eviction\n",
+                "shards, capacity %d\n",
                 service.workers(), opts.queueDepth, opts.shards,
-                opts.cacheCapacity,
-                evictPolicyName(opts.eviction));
+                opts.cacheCapacity);
 
     if (listen_port >= 0)
         return runDaemon(service, listen_port, metrics_out,

@@ -5,7 +5,8 @@
 #   scripts/ci_smoke.sh serve|network|chaos|socket-chaos
 #
 #   serve         dmsd's in-process load generator: the report must
-#                 show cache hits and no invalid requests.
+#                 show cache hits and no invalid requests. A second
+#                 run on a 16-entry cache must also evict.
 #   network       a --listen daemon (tracing armed) hammered by a
 #                 --connect client: the client's report (the
 #                 daemon's counters, fetched over the wire) must
@@ -84,7 +85,12 @@ serve)
         tee dmsd.out
     grep -E 'serve: .* [1-9][0-9]* hits' dmsd.out
     grep -E ', 0 invalid' dmsd.out
-    lint_clean serve.metrics
+    DMS_SERVE_CACHE_CAP=16 "$bin/dmsd" --load 300 --clients 8 \
+        --metrics-out evict.metrics | tee evict.out
+    grep -E 'serve: .* [1-9][0-9]* hits' evict.out
+    grep -E 'cache: .* [1-9][0-9]* evicted' evict.out
+    grep -E ', 0 invalid' evict.out
+    lint_clean serve.metrics evict.metrics
     ;;
 network)
     export DMS_SERVE_QUEUE_DEPTH=64 DMS_TRACE=1

@@ -5,11 +5,9 @@
 #include <memory>
 
 #include "machine/desc.h"
-#include "serve/service.h"
 #include "support/diag.h"
 #include "support/strings.h"
 #include "support/thread_pool.h"
-#include "workload/text.h"
 
 namespace dms {
 
@@ -158,68 +156,6 @@ runMatrix(const std::vector<Loop> &suite, const RunnerOptions &opts)
         checkColumn(opts.unclusteredScheduler,
                     unclustered_machines[ci]);
         checkColumn(opts.clusteredScheduler, clustered_machines[ci]);
-    }
-
-    // Service routing: submit every cell to the long-lived compile
-    // server and collect the futures in cell order. The service's
-    // workers (with their pooled contexts) replace the runner's
-    // pool, and its memo cache turns repeated sweeps into lookups.
-    if (opts.service != nullptr) {
-        const PipelineOptions unclustered_po =
-            columnOptions(opts.unclusteredScheduler, opts);
-        const PipelineOptions clustered_po =
-            columnOptions(opts.clusteredScheduler, opts);
-        std::vector<std::string> loop_texts(loops);
-        for (size_t li = 0; li < loops; ++li)
-            loop_texts[li] = loopToText(suite[li]);
-        std::vector<std::string> unclustered_texts(configs);
-        std::vector<std::string> clustered_texts(configs);
-        for (size_t ci = 0; ci < configs; ++ci) {
-            unclustered_texts[ci] =
-                machineToText(unclustered_machines[ci]);
-            clustered_texts[ci] =
-                machineToText(clustered_machines[ci]);
-        }
-
-        const size_t cells = configs * loops * 2;
-        std::vector<CompileService::Ticket> tickets(cells);
-        for (size_t cell = 0; cell < cells; ++cell) {
-            const size_t ci = cell / (loops * 2);
-            const size_t rest = cell % (loops * 2);
-            const size_t li = rest / 2;
-            const bool clustered = (rest % 2) != 0;
-            CompileRequest req;
-            req.loopText = loop_texts[li];
-            req.machineText = clustered
-                                  ? clustered_texts[ci]
-                                  : unclustered_texts[ci];
-            req.options =
-                clustered ? clustered_po : unclustered_po;
-            tickets[cell] = opts.service->submit(req);
-        }
-        for (size_t cell = 0; cell < cells; ++cell) {
-            const size_t ci = cell / (loops * 2);
-            const size_t rest = cell % (loops * 2);
-            const size_t li = rest / 2;
-            const bool clustered = (rest % 2) != 0;
-            CompileService::ResultPtr result =
-                tickets[cell].future.get();
-            if (!result->parsed) {
-                fatal("service rejected cell (clusters=%d, loop "
-                      "'%s'): %s", static_cast<int>(ci) + 1,
-                      suite[li].name.c_str(),
-                      result->error.c_str());
-            }
-            if (clustered)
-                matrix[ci].clustered[li] = result->run;
-            else
-                matrix[ci].unclustered[li] = result->run;
-        }
-        if (opts.progress) {
-            inform("runMatrix: %zu cells via compile service "
-                   "(%d workers)", cells, opts.service->workers());
-        }
-        return matrix;
     }
 
     const Pipeline unclustered_pipe(

@@ -26,8 +26,6 @@
 
 namespace dms {
 
-class CompileService;
-
 /** One loop scheduled on one configuration. */
 struct LoopRun
 {
@@ -177,24 +175,6 @@ struct RunnerOptions
      * var, else hardware concurrency"; 1 forces the serial path.
      */
     int jobs = 0;
-
-    /**
-     * Route every cell through a long-lived compile service
-     * (serve/service.h) instead of compiling inline. The service's
-     * worker pool replaces the runner's thread pool for the sweep,
-     * its memo cache dedups repeated (loop, machine, options)
-     * cells across runs, and results are bit-identical to the
-     * direct path provided the suite's flow-edge latencies come
-     * from the machine's latency model: the text round-trip drops
-     * flow latencies and the service re-derives them from the
-     * machine description (overrides included), while the direct
-     * path schedules the Loop's baked-in edges. Every built-in
-     * suite and machine template uses the default LatencyModel, so
-     * the paths coincide; a `latency`-overridden template with
-     * default-latency loops would diverge. Not owned; may be
-     * shared between sweeps.
-     */
-    CompileService *service = nullptr;
 };
 
 /**

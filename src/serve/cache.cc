@@ -17,42 +17,8 @@ fnv1a64(std::string_view s)
     return h;
 }
 
-const char *
-evictPolicyName(EvictPolicy policy)
-{
-    switch (policy) {
-    case EvictPolicy::Fifo:
-        return "fifo";
-    case EvictPolicy::Lru:
-        return "lru";
-    case EvictPolicy::Cost:
-        return "cost";
-    }
-    return "fifo";
-}
-
-bool
-evictPolicyFromName(std::string_view name, EvictPolicy &out)
-{
-    if (name == "fifo") {
-        out = EvictPolicy::Fifo;
-        return true;
-    }
-    if (name == "lru") {
-        out = EvictPolicy::Lru;
-        return true;
-    }
-    if (name == "cost") {
-        out = EvictPolicy::Cost;
-        return true;
-    }
-    return false;
-}
-
-ResultCache::ResultCache(int shards, int capacity,
-                         EvictPolicy policy)
-    : shards_(static_cast<size_t>(std::max(shards, 1))),
-      policy_(policy)
+ResultCache::ResultCache(int shards, int capacity)
+    : shards_(static_cast<size_t>(std::max(shards, 1)))
 {
     int n = static_cast<int>(shards_.size());
     perShardCap_ = std::max(1, (std::max(capacity, 1) + n - 1) / n);
@@ -70,70 +36,36 @@ ResultCache::eraseLocked(Shard &shard, const std::string &key)
 }
 
 /**
- * Refresh @p slot's recency. Only the Lru policy keeps the order
- * list access-ordered; Fifo and Cost leave it in insertion order
- * (Cost ranks by measured latency and uses position only as a
- * tiebreak). Caller holds the shard lock.
- */
-void
-ResultCache::touchLocked(Shard &shard, Slot &slot)
-{
-    if (policy_ != EvictPolicy::Lru)
-        return;
-    shard.order.splice(shard.order.end(), shard.order, slot.pos);
-}
-
-/**
- * Over capacity: drop one droppable entry. Failed entries (dead
- * aliases of retired compiles, counted under retired()) always go
- * first regardless of policy — they are garbage, not cached value.
- * Otherwise the victim among ready entries is chosen by policy:
- * Fifo/Lru take the front of the order list (insertion order vs
- * access order), Cost scans for the minimum measured compile
- * latency. In-flight entries are pinned — evicting one would let a
- * duplicate request start a second compilation of the same key.
+ * Make room for one insert: drop droppable entries from the front
+ * of the insertion order until the shard is under its cap. A failed
+ * entry (a dead alias of a retired compile) counts under retired(),
+ * a ready one under evictions(). In-flight entries are pinned —
+ * evicting one would let a duplicate request start a second
+ * compilation of the same key — so a shard of in-flight entries
+ * stays over its cap until a later insert finds them droppable.
  * Caller holds the shard lock.
  */
 void
 ResultCache::evictIfFull(Shard &shard)
 {
-    if (shard.entries.size() < static_cast<size_t>(perShardCap_))
-        return;
-
-    auto victim = shard.order.end();
-    double victimCost = 0.0;
-    for (auto oit = shard.order.begin(); oit != shard.order.end();
-         ++oit) {
+    const size_t cap = static_cast<size_t>(perShardCap_);
+    auto oit = shard.order.begin();
+    while (shard.entries.size() >= cap && oit != shard.order.end()) {
         auto eit = shard.entries.find(*oit);
         DMS_ASSERT(eit != shard.entries.end(),
                    "cache order entry without map entry");
         const CacheEntry &e = *eit->second.entry;
         if (e.failed.load(std::memory_order_acquire)) {
-            shard.entries.erase(eit);
-            shard.order.erase(oit);
             retired_.fetch_add(1, std::memory_order_relaxed);
-            return;
+        } else if (e.ready.load(std::memory_order_acquire)) {
+            evictions_.fetch_add(1, std::memory_order_relaxed);
+        } else {
+            ++oit; // in-flight: pinned
+            continue;
         }
-        if (!e.ready.load(std::memory_order_acquire))
-            continue; // in-flight: pinned
-        if (policy_ != EvictPolicy::Cost) {
-            // Fifo and Lru both want the frontmost droppable
-            // entry; the policies differ only in how accesses
-            // reorder the list.
-            victim = oit;
-            break;
-        }
-        double cost = e.costMs.load(std::memory_order_relaxed);
-        if (victim == shard.order.end() || cost < victimCost) {
-            victim = oit;
-            victimCost = cost;
-        }
+        shard.entries.erase(eit);
+        oit = shard.order.erase(oit);
     }
-    if (victim == shard.order.end())
-        return; // everything in-flight; transiently over cap
-    shard.entries.erase(*victim);
-    shard.order.erase(victim);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
 }
 
 ResultCache::Lookup
@@ -153,7 +85,6 @@ ResultCache::acquire(const std::string &key, std::uint64_t hash,
             retired_.fetch_add(1, std::memory_order_relaxed);
         } else {
             entry = it->second.entry;
-            touchLocked(shard, it->second);
             return entry->ready.load(std::memory_order_acquire)
                        ? Lookup::Hit
                        : Lookup::InFlight;
@@ -176,7 +107,6 @@ ResultCache::find(const std::string &key, std::uint64_t hash)
     if (it == shard.entries.end() ||
         it->second.entry->failed.load(std::memory_order_acquire))
         return nullptr;
-    touchLocked(shard, it->second);
     return it->second.entry;
 }
 

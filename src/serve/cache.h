@@ -15,25 +15,16 @@
  * per map probe — equality is always on the full key, so hash
  * collisions cannot alias two different requests.
  *
- * Capacity is enforced per shard with a pluggable eviction policy
- * (EvictPolicy) over *droppable* entries only — failed entries
- * (dead aliases of retired compiles) always go first, then ready
- * ones per policy:
- *
- *   - Fifo: drop the oldest insertion (the pre-policy behavior);
- *   - Lru:  drop the least recently *used* — every hit refreshes
- *           an entry's recency, so a hot key survives arbitrary
- *           cold churn;
- *   - Cost: drop the cheapest-to-recompute ready entry — cost is
- *           the measured compile latency the worker stamps on the
- *           entry (CacheEntry::costMs), so an expensive schedule
- *           is kept over many trivial ones.
- *
- * In-flight entries are never evicted under any policy: evicting
- * one would break the coalescing guarantee, so a shard may
- * transiently exceed its cap when everything in it is still
- * compiling. Whatever the policy, the conservation law
- * inserted == size() + evictions() + retired() holds exactly.
+ * Capacity is enforced per shard by FIFO eviction over *droppable*
+ * entries: a shard at its cap drops entries from the front of its
+ * insertion order — a failed entry (a dead alias of a retired
+ * compile) is retired, a ready one evicted — until it is under the
+ * cap again. Hits never reorder the queue. In-flight entries are
+ * never evicted: evicting one would break the coalescing guarantee,
+ * so a shard whose entries are all still compiling may go over its
+ * cap, and the next insert into that shard pays the overshoot back.
+ * The conservation law inserted == size() + evictions() + retired()
+ * holds exactly.
  */
 
 #include <atomic>
@@ -53,19 +44,6 @@ struct CompileResult;
 
 /** FNV-1a over bytes; the shard/bucket hash of the result cache. */
 std::uint64_t fnv1a64(std::string_view s);
-
-/** Which ready entry goes when a shard is over capacity. */
-enum class EvictPolicy : std::uint8_t {
-    Fifo, ///< oldest insertion first
-    Lru,  ///< least recently used first
-    Cost, ///< cheapest measured compile first
-};
-
-/** Lowercase policy name, e.g. "lru". */
-const char *evictPolicyName(EvictPolicy policy);
-
-/** Parse "fifo"/"lru"/"cost"; false on anything else. */
-bool evictPolicyFromName(std::string_view name, EvictPolicy &out);
 
 /**
  * One memo slot: a single-flight rendezvous that becomes a cached
@@ -90,14 +68,6 @@ struct CacheEntry
      * so the next request for the key retries the compile.
      */
     std::atomic<bool> failed{false};
-
-    /**
-     * Measured compile latency in milliseconds, stamped by the
-     * worker before ready flips. The Cost eviction policy reads it
-     * to keep expensive schedules resident; 0 until a compile
-     * finishes (an in-flight entry is pinned anyway).
-     */
-    std::atomic<double> costMs{0.0};
 };
 
 /** Sharded single-flight memo map. */
@@ -114,15 +84,12 @@ class ResultCache
     /**
      * @param shards   number of independent shards (>= 1)
      * @param capacity total ready-entry capacity across shards
-     * @param policy   which ready entry goes when over capacity
      */
-    ResultCache(int shards, int capacity,
-                EvictPolicy policy = EvictPolicy::Fifo);
+    ResultCache(int shards, int capacity);
 
     /**
      * Find or create the entry for @p key (@p hash must be
-     * fnv1a64(key)). @p entry is always filled on return. A Hit
-     * refreshes the entry's recency under the Lru policy.
+     * fnv1a64(key)). @p entry is always filled on return.
      */
     Lookup acquire(const std::string &key, std::uint64_t hash,
                    std::shared_ptr<CacheEntry> &entry);
@@ -130,10 +97,9 @@ class ResultCache
     /**
      * Find the entry for @p key without creating one; nullptr when
      * absent *or failed* (a failed entry is logically gone — it is
-     * physically reclaimed by retire/acquire/eviction). A found
-     * ready entry is refreshed under Lru, exactly like acquire —
-     * the raw-text fast path of the service probes its alias map
-     * with this before paying for canonicalization.
+     * physically reclaimed by retire/acquire/eviction). The
+     * raw-text fast path of the service probes its alias map with
+     * this before paying for canonicalization.
      */
     std::shared_ptr<CacheEntry> find(const std::string &key,
                                      std::uint64_t hash);
@@ -148,10 +114,9 @@ class ResultCache
                 const std::shared_ptr<CacheEntry> &entry);
 
     /**
-     * Map @p key to an @p entry owned elsewhere (capacity-bounded,
-     * same eviction policy as acquire). Used for raw-spelling
-     * aliases of a canonical entry; inserting an existing key is a
-     * no-op.
+     * Map @p key to an @p entry owned elsewhere (capacity-bounded
+     * like acquire). Used for raw-spelling aliases of a canonical
+     * entry; inserting an existing key is a no-op.
      */
     void insertAlias(const std::string &key, std::uint64_t hash,
                      std::shared_ptr<CacheEntry> entry);
@@ -171,8 +136,6 @@ class ResultCache
         return retired_.load(std::memory_order_relaxed);
     }
 
-    EvictPolicy policy() const { return policy_; }
-
   private:
     struct Slot
     {
@@ -185,24 +148,15 @@ class ResultCache
     {
         mutable std::mutex mu;
         std::unordered_map<std::string, Slot> entries;
-        /**
-         * Eviction scan order, front = first victim candidate.
-         * Fifo: insertion order, untouched afterwards. Lru:
-         * insertion order with every access splicing the key to
-         * the back. Cost: insertion order too — the cost scan
-         * ranks by CacheEntry::costMs and uses list position only
-         * to break ties (older first).
-         */
+        /** Insertion order, front = first victim candidate. */
         std::list<std::string> order;
     };
 
-    void touchLocked(Shard &shard, Slot &slot);
     void evictIfFull(Shard &shard);
     void eraseLocked(Shard &shard, const std::string &key);
 
     std::vector<Shard> shards_;
     int perShardCap_;
-    EvictPolicy policy_;
     std::atomic<std::uint64_t> evictions_{0};
     std::atomic<std::uint64_t> retired_{0};
 };

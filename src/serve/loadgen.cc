@@ -106,35 +106,6 @@ RetryPolicy::delayMs(int attempt, Rng &rng) const
     return static_cast<int>(base * (0.5 + rng.uniform() * 0.5));
 }
 
-namespace {
-
-/**
- * Wait a ticket out, honoring the deadline the same way
- * CompileService::compile does: fire the compile's cancel token
- * and synthesize Expired when the budget runs out first.
- */
-CompileService::ResultPtr
-awaitTicket(CompileService::Ticket &ticket, int deadlineMs,
-            std::chrono::steady_clock::time_point t0)
-{
-    if (deadlineMs > 0 &&
-        ticket.future.wait_until(
-            t0 + std::chrono::milliseconds(deadlineMs)) ==
-            std::future_status::timeout) {
-        if (ticket.cancel != nullptr)
-            ticket.cancel->cancel();
-        auto expired = std::make_shared<CompileResult>();
-        expired->status = CompileStatus::Expired;
-        expired->parsed = true;
-        expired->error =
-            strfmt("deadline of %d ms exceeded", deadlineMs);
-        return expired;
-    }
-    return ticket.future.get();
-}
-
-} // namespace
-
 CompileService::ResultPtr
 compileWithRetry(CompileService &service, CompileRequest request,
                  const RetryPolicy &policy, Rng &rng, int *retries)
@@ -142,14 +113,7 @@ compileWithRetry(CompileService &service, CompileRequest request,
     request.deadlineMs = policy.deadlineMs;
     CompileService::ResultPtr result;
     for (int attempt = 0;; ++attempt) {
-        auto t0 = std::chrono::steady_clock::now();
-        if (policy.submitWaitMs >= 0) {
-            CompileService::Ticket ticket =
-                service.trySubmit(request, policy.submitWaitMs);
-            result = awaitTicket(ticket, policy.deadlineMs, t0);
-        } else {
-            result = service.compile(request);
-        }
+        result = service.compile(request, policy.submitWaitMs);
         if (attempt + 1 >= std::max(policy.maxAttempts, 1) ||
             !policy.shouldRetry(result->status))
             return result;
@@ -172,7 +136,7 @@ struct ClientTally
     obs::LatencyHistogram latency;
     int retries = 0;
     int failures = 0;
-    int byStatus[7] = {0, 0, 0, 0, 0, 0, 0};
+    int byStatus[kCompileStatusCount] = {};
 
     void
     add(const CompileResult &result,
@@ -232,7 +196,7 @@ runClients(int total, int clients, std::uint64_t seed,
     for (const ClientTally &tally : tallies) {
         out.failures += tally.failures;
         out.retries += tally.retries;
-        for (size_t s = 0; s < 7; ++s)
+        for (size_t s = 0; s < kCompileStatusCount; ++s)
             out.byStatus[s] += tally.byStatus[s];
         latency.merge(tally.latency.snapshot());
     }

@@ -75,9 +75,9 @@ struct RetryPolicy
     int deadlineMs = 0;
 
     /**
-     * >= 0: submit through trySubmit() with this shed wait, so an
-     * overloaded service rejects instead of blocking the client.
-     * Negative keeps the blocking submit()/compile() path.
+     * Shed wait passed to CompileService::compile(): >= 0 submits
+     * through trySubmit() with this wait, so an overloaded service
+     * rejects instead of blocking the client; negative blocks.
      */
     int submitWaitMs = -1;
 
@@ -97,10 +97,10 @@ struct RetryPolicy
 };
 
 /**
- * One request through the policy loop: submit (blocking or
- * shedding per the policy), await (honoring the deadline), retry
- * retryable outcomes with backoff. @p retries, when non-null,
- * accumulates the number of extra attempts made.
+ * One request through the policy loop: CompileService::compile
+ * (blocking or shedding per the policy, honoring the deadline),
+ * then retry retryable outcomes with backoff. @p retries, when
+ * non-null, accumulates the number of extra attempts made.
  */
 CompileService::ResultPtr
 compileWithRetry(CompileService &service, CompileRequest request,
@@ -123,7 +123,7 @@ struct HammerResult
     }
 
     /** Indexed by CompileStatus; sums to requests. */
-    int byStatus[7] = {0, 0, 0, 0, 0, 0, 0};
+    int byStatus[kCompileStatusCount] = {};
 
     /**
      * @name Per-request latency of *this* run (milliseconds)

@@ -86,7 +86,7 @@ constexpr char kMagic[] = "dms1";
 bool
 compileStatusFromName(std::string_view name, CompileStatus &out)
 {
-    for (int s = 0; s < 7; ++s) {
+    for (size_t s = 0; s < kCompileStatusCount; ++s) {
         const auto status = static_cast<CompileStatus>(s);
         if (name == compileStatusName(status)) {
             out = status;
@@ -133,12 +133,6 @@ appendField(std::string &line, const char *key,
     line += wireEscape(value);
 }
 
-void
-appendInt(std::string &line, const char *key, long long value)
-{
-    line += strfmt("\t%s=%lld", key, value);
-}
-
 /** Split one `key=value` token; false when '=' is absent. */
 bool
 splitField(std::string_view token, std::string_view &key,
@@ -149,6 +143,42 @@ splitField(std::string_view token, std::string_view &key,
         return false;
     key = token.substr(0, eq);
     value = token.substr(eq + 1);
+    return true;
+}
+
+/** One `<verb> text=<esc>` response line (metricsr, tracer). */
+std::string
+textResponseToLine(const char *verb, const std::string &text)
+{
+    std::string line = kMagic;
+    line += '\t';
+    line += verb;
+    appendField(line, "text", text);
+    return line;
+}
+
+/** Parse a textResponseToLine line; @p what names it in errors. */
+bool
+textResponseFromLine(const std::string &line, const char *verb,
+                     const char *what, std::string &text,
+                     std::string &error)
+{
+    const std::vector<std::string> tokens = split(line, '\t');
+    if (tokens.size() != 3 || tokens[0] != kMagic ||
+        tokens[1] != verb) {
+        error = strfmt("not a %s response line", what);
+        return false;
+    }
+    std::string_view key;
+    std::string_view value;
+    if (!splitField(tokens[2], key, value) || key != "text") {
+        error = strfmt("%s response wants text=", what);
+        return false;
+    }
+    if (!wireUnescape(value, text)) {
+        error = strfmt("bad escape in %s text", what);
+        return false;
+    }
     return true;
 }
 
@@ -171,13 +201,13 @@ wireRequestToLine(const WireRequest &req)
     appendField(line, "loop", r.loopText);
     appendField(line, "machine", r.machineText);
     appendField(line, "sched", r.options.scheduler);
-    appendInt(line, "deadline_ms", r.deadlineMs);
-    appendInt(line, "unroll", r.options.forceUnroll);
-    appendInt(line, "umax", r.options.unrollMaxFactor);
-    appendInt(line, "uops", r.options.unrollMaxOps);
-    appendInt(line, "verify", r.options.verify ? 1 : 0);
-    appendInt(line, "ra", r.options.regalloc ? 1 : 0);
-    appendInt(line, "cg", r.options.codegen ? 1 : 0);
+    appendInt(line, "\tdeadline_ms=", r.deadlineMs);
+    appendInt(line, "\tunroll=", r.options.forceUnroll);
+    appendInt(line, "\tumax=", r.options.unrollMaxFactor);
+    appendInt(line, "\tuops=", r.options.unrollMaxOps);
+    appendInt(line, "\tverify=", r.options.verify ? 1 : 0);
+    appendInt(line, "\tra=", r.options.regalloc ? 1 : 0);
+    appendInt(line, "\tcg=", r.options.codegen ? 1 : 0);
     return line;
 }
 
@@ -308,23 +338,23 @@ wireResultToLine(const CompileResult &result)
     line += "\tresult";
     appendField(line, "status",
                 compileStatusName(result.status));
-    appendInt(line, "parsed", result.parsed ? 1 : 0);
-    appendInt(line, "ok", result.ok ? 1 : 0);
+    appendInt(line, "\tparsed=", result.parsed ? 1 : 0);
+    appendInt(line, "\tok=", result.ok ? 1 : 0);
     appendField(line, "error", result.error);
     appendField(line, "fail_site", result.failSite);
-    appendInt(line, "ii", result.run.ii);
-    appendInt(line, "mii", result.run.mii);
-    appendInt(line, "stages", result.run.stageCount);
-    appendInt(line, "unroll", result.run.unrollFactor);
-    appendInt(line, "moves", result.run.movesInserted);
-    appendInt(line, "copies", result.run.copiesInserted);
-    appendInt(line, "iter", result.run.iterations);
-    appendInt(line, "cycles", result.run.cycles);
-    appendInt(line, "useful", result.run.usefulIssues);
-    appendInt(line, "qfiles", result.run.queueFiles);
-    appendInt(line, "qreq", result.run.queuesRequired);
-    appendInt(line, "qstore", result.run.queueStorage);
-    appendInt(line, "qlink", result.run.maxLinkQueues);
+    appendInt(line, "\tii=", result.run.ii);
+    appendInt(line, "\tmii=", result.run.mii);
+    appendInt(line, "\tstages=", result.run.stageCount);
+    appendInt(line, "\tunroll=", result.run.unrollFactor);
+    appendInt(line, "\tmoves=", result.run.movesInserted);
+    appendInt(line, "\tcopies=", result.run.copiesInserted);
+    appendInt(line, "\titer=", result.run.iterations);
+    appendInt(line, "\tcycles=", result.run.cycles);
+    appendInt(line, "\tuseful=", result.run.usefulIssues);
+    appendInt(line, "\tqfiles=", result.run.queueFiles);
+    appendInt(line, "\tqreq=", result.run.queuesRequired);
+    appendInt(line, "\tqstore=", result.run.queueStorage);
+    appendInt(line, "\tqlink=", result.run.maxLinkQueues);
     appendField(line, "kernel", result.kernelText);
     return line;
 }
@@ -464,65 +494,29 @@ wireResultFromLine(const std::string &line, CompileResult &out,
 std::string
 wireMetricsToLine(const std::string &metricsText)
 {
-    std::string line = kMagic;
-    line += "\tmetricsr";
-    appendField(line, "text", metricsText);
-    return line;
+    return textResponseToLine("metricsr", metricsText);
 }
 
 bool
 wireMetricsFromLine(const std::string &line,
                     std::string &metricsText, std::string &error)
 {
-    const std::vector<std::string> tokens = split(line, '\t');
-    if (tokens.size() != 3 || tokens[0] != kMagic ||
-        tokens[1] != "metricsr") {
-        error = "not a metrics response line";
-        return false;
-    }
-    std::string_view key;
-    std::string_view value;
-    if (!splitField(tokens[2], key, value) || key != "text") {
-        error = "metrics response wants text=";
-        return false;
-    }
-    if (!wireUnescape(value, metricsText)) {
-        error = "bad escape in metrics text";
-        return false;
-    }
-    return true;
+    return textResponseFromLine(line, "metricsr", "metrics",
+                                metricsText, error);
 }
 
 std::string
 wireTraceToLine(const std::string &traceJson)
 {
-    std::string line = kMagic;
-    line += "\ttracer";
-    appendField(line, "text", traceJson);
-    return line;
+    return textResponseToLine("tracer", traceJson);
 }
 
 bool
 wireTraceFromLine(const std::string &line, std::string &traceJson,
                   std::string &error)
 {
-    const std::vector<std::string> tokens = split(line, '\t');
-    if (tokens.size() != 3 || tokens[0] != kMagic ||
-        tokens[1] != "tracer") {
-        error = "not a trace response line";
-        return false;
-    }
-    std::string_view key;
-    std::string_view value;
-    if (!splitField(tokens[2], key, value) || key != "text") {
-        error = "trace response wants text=";
-        return false;
-    }
-    if (!wireUnescape(value, traceJson)) {
-        error = "bad escape in trace text";
-        return false;
-    }
-    return true;
+    return textResponseFromLine(line, "tracer", "trace", traceJson,
+                                error);
 }
 
 namespace {
@@ -704,10 +698,9 @@ struct NetServer::Impl
     {
         CompileRequest junk;
         junk.machineText = "<wire framing reject>";
-        CompileService::Ticket ticket = service.submit(junk);
         CompileService::ResultPtr accounted =
-            ticket.future.get();
-        if (ticket.source != CompileService::Source::Invalid)
+            service.submit(junk).future.get();
+        if (accounted->status != CompileStatus::Invalid)
             return wireResultToLine(*accounted);
         framingRejects.fetch_add(1, std::memory_order_relaxed);
         CompileResult result;
@@ -733,39 +726,13 @@ struct NetServer::Impl
             return wireTraceToLine(obs::tracesToJson(
                 obs::TraceLog::instance().traces()));
 
-        // The network request rides the same machinery as an
-        // in-process one: trySubmit keeps the bounded queue the
-        // backpressure point (overload answers Rejected), and the
-        // deadline wait mirrors CompileService::compile —
-        // cancel the worker, synthesize Expired for this caller.
-        const auto t0 = std::chrono::steady_clock::now();
-        CompileService::Ticket ticket =
-            service.trySubmit(wire.request, opts.submitWaitMs);
-        CompileService::ResultPtr result;
-        const int deadlineMs = wire.request.deadlineMs;
-        if (deadlineMs > 0 &&
-            ticket.future.wait_until(
-                t0 + std::chrono::milliseconds(deadlineMs)) ==
-                std::future_status::timeout) {
-            if (ticket.cancel != nullptr)
-                ticket.cancel->cancel();
-            auto expired = std::make_shared<CompileResult>();
-            expired->status = CompileStatus::Expired;
-            expired->parsed = true;
-            expired->error = strfmt("deadline of %d ms exceeded",
-                                    deadlineMs);
-            result = std::move(expired);
-        } else {
-            result = ticket.future.get();
-        }
-        // Wire requests land in the same latency histogram as
-        // in-process compile() calls, so the metrics verb reports
-        // real serving latencies for a pure daemon.
-        const auto t1 = std::chrono::steady_clock::now();
-        service.recordLatencyMs(
-            std::chrono::duration<double, std::milli>(t1 - t0)
-                .count());
-        return wireResultToLine(*result);
+        // The network request rides the in-process machinery:
+        // shedding keeps the bounded queue the backpressure point
+        // (overload answers Rejected), and compile() owns the
+        // deadline wait and the serve.latency_ms record, so the
+        // metrics verb reports wire latencies too.
+        return wireResultToLine(
+            *service.compile(wire.request, opts.submitWaitMs));
     }
 
     obs::MetricsSnapshot

@@ -5,9 +5,10 @@
  * @file
  * The TCP front-end of the compile service: a line-oriented wire
  * protocol ("dms wire v1") carrying the repo's existing canonical
- * text formats over a socket, a NetServer that maps each request
- * line onto the ticket/deadline/trySubmit machinery of
- * CompileService, and a NetClient for the loadgen and tests.
+ * text formats over a socket, a NetServer that answers each
+ * request line through CompileService::compile's shedding path
+ * (deadline wait and latency record included), and a NetClient
+ * for the loadgen and tests.
  *
  * ## Wire format
  *
@@ -137,9 +138,9 @@ struct NetServerOptions
     int maxLineBytes = 1 << 20;
 
     /**
-     * Shed wait forwarded to trySubmit() per network request: the
-     * bounded queue stays the backpressure point, and an
-     * overloaded server answers Rejected (which clients retry)
+     * Shed wait forwarded to CompileService::compile() per network
+     * request: the bounded queue stays the backpressure point, and
+     * an overloaded server answers Rejected (which clients retry)
      * instead of stalling the connection forever.
      */
     int submitWaitMs = 200;

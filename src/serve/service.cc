@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <mutex>
 #include <thread>
@@ -215,13 +214,6 @@ ServeOptions::fromEnv()
                                   opts.quarantineAfter);
     opts.quarantineProbe = envInt("DMS_SERVE_QUARANTINE_PROBE",
                                   opts.quarantineProbe);
-    if (const char *ev = std::getenv("DMS_SERVE_EVICT")) {
-        if (!evictPolicyFromName(ev, opts.eviction)) {
-            warn("DMS_SERVE_EVICT='%s' is not one of "
-                 "fifo/lru/cost; using %s",
-                 ev, evictPolicyName(opts.eviction));
-        }
-    }
     return opts;
 }
 
@@ -251,8 +243,8 @@ struct CompileService::Impl
 {
     explicit Impl(const ServeOptions &o)
         : opts(o), queue(o.queueDepth),
-          cache(o.shards, o.cacheCapacity, o.eviction),
-          aliases(o.shards, o.cacheCapacity, o.eviction),
+          cache(o.shards, o.cacheCapacity),
+          aliases(o.shards, o.cacheCapacity),
           workerCount(o.workers > 0 ? o.workers
                                     : ThreadPool::defaultJobs()),
           requests(metricsReg.counter("serve.requests")),
@@ -310,7 +302,6 @@ struct CompileService::Impl
         // A throwing compile must resolve the request as a
         // structured result, never unwind the worker thread: the
         // catch blocks below are the service's fault boundary.
-        const auto t0 = std::chrono::steady_clock::now();
         try {
             // The compile span wraps the whole fault boundary so
             // an injected fault or deadline expiry unwinds through
@@ -367,15 +358,6 @@ struct CompileService::Impl
             if (tr != nullptr)
                 tr->failSpan(0, "exception");
         }
-
-        // Stamp the measured compile latency before the entry
-        // becomes visible as ready: the Cost eviction policy ranks
-        // ready entries by this value.
-        const auto t1 = std::chrono::steady_clock::now();
-        job.entry->costMs.store(
-            std::chrono::duration<double, std::milli>(t1 - t0)
-                .count(),
-            std::memory_order_relaxed);
 
         finishCompile(job.entry, job.key, job.hash,
                       std::move(result));
@@ -535,8 +517,11 @@ struct CompileService::Impl
     std::mutex poisonMu;
     std::unordered_map<std::string, PoisonState> poison;
 
-    Ticket submitImpl(const CompileRequest &request,
-                      int shedWaitMs, bool shedding);
+    /**
+     * submit() when @p shedWaitMs < 0 (block while the queue is
+     * full), trySubmit() otherwise (shed after that long).
+     */
+    Ticket submitImpl(const CompileRequest &request, int shedWaitMs);
 };
 
 CompileService::CompileService(ServeOptions opts)
@@ -550,20 +535,6 @@ int
 CompileService::workers() const
 {
     return impl_->workerCount;
-}
-
-CompileRequest
-makeRequest(const Loop &loop, const MachineModel &machine,
-            const PipelineOptions &options)
-{
-    CompileRequest req;
-    req.loopText = loopToText(loop);
-    req.machineText = machineToText(machine);
-    req.options = options;
-    if (req.options.scheduler.empty())
-        req.options.scheduler =
-            machine.clustered() ? "dms" : "ims";
-    return req;
 }
 
 namespace {
@@ -638,7 +609,7 @@ validateRequest(const Loop &loop, const MachineModel &machine,
 
 CompileService::Ticket
 CompileService::Impl::submitImpl(const CompileRequest &request,
-                                 int shedWaitMs, bool shedding)
+                                 int shedWaitMs)
 {
     requests.inc();
     Ticket ticket;
@@ -667,7 +638,6 @@ CompileService::Impl::submitImpl(const CompileRequest &request,
     }
 
     auto immediate = [&](CompileStatus status, std::string why,
-                         Source source,
                          std::string failSite = std::string()) {
         auto result = std::make_shared<CompileResult>();
         result->status = status;
@@ -677,7 +647,6 @@ CompileService::Impl::submitImpl(const CompileRequest &request,
         std::promise<ResultPtr> p;
         p.set_value(std::move(result));
         ticket.future = p.get_future().share();
-        ticket.source = source;
         return ticket;
     };
 
@@ -727,8 +696,7 @@ CompileService::Impl::submitImpl(const CompileRequest &request,
         // (validateRequest) — is answered with an error result.
         auto reject = [&](std::string why) -> Ticket {
             invalid.inc();
-            return immediate(CompileStatus::Invalid,
-                             std::move(why), Source::Invalid);
+            return immediate(CompileStatus::Invalid, std::move(why));
         };
 
         // Canonicalize: parse both texts and re-serialize, so
@@ -792,8 +760,7 @@ CompileService::Impl::submitImpl(const CompileRequest &request,
                 CompileStatus::Quarantined,
                 strfmt("key quarantined after %d consecutive "
                        "failures",
-                       opts.quarantineAfter),
-                Source::Quarantined);
+                       opts.quarantineAfter));
         }
 
         std::shared_ptr<CacheEntry> entry;
@@ -822,7 +789,6 @@ CompileService::Impl::submitImpl(const CompileRequest &request,
         case ResultCache::Lookup::Inserted:
             break;
         }
-        ticket.source = Source::Miss;
         misses.inc();
 
         std::shared_ptr<CancelToken> cancel;
@@ -847,7 +813,7 @@ CompileService::Impl::submitImpl(const CompileRequest &request,
         }
         job->trace = std::move(commit.trace);
         bool pushed = true;
-        if (shedding)
+        if (shedWaitMs >= 0)
             pushed = queue.tryPush(job, shedWaitMs);
         else
             queue.push(std::move(job));
@@ -866,10 +832,9 @@ CompileService::Impl::submitImpl(const CompileRequest &request,
             result->parsed = true;
             result->error = strfmt(
                 "queue full (%d deep): request shed after %d ms",
-                opts.queueDepth, std::max(shedWaitMs, 0));
+                opts.queueDepth, shedWaitMs);
             finishCompile(entry, key, ticket.key,
                           std::move(result));
-            ticket.source = Source::Rejected;
             return ticket;
         }
         if (degraded.load(std::memory_order_relaxed) &&
@@ -888,12 +853,10 @@ CompileService::Impl::submitImpl(const CompileRequest &request,
             finishCompile(owned, ownedKey, ownedHash,
                           std::move(result));
             ticket.future = owned->future;
-            ticket.source = Source::Failed;
             return ticket;
         }
         failed.inc();
-        return immediate(CompileStatus::Failed, e.what(),
-                         Source::Failed, e.site());
+        return immediate(CompileStatus::Failed, e.what(), e.site());
     } catch (const CancelledError &e) {
         if (tr != nullptr)
             tr->failSpan(0, "cancelled");
@@ -905,35 +868,31 @@ CompileService::Impl::submitImpl(const CompileRequest &request,
             finishCompile(owned, ownedKey, ownedHash,
                           std::move(result));
             ticket.future = owned->future;
-            ticket.source = Source::Expired;
             return ticket;
         }
         expired.inc();
-        return immediate(CompileStatus::Expired, e.what(),
-                         Source::Expired);
+        return immediate(CompileStatus::Expired, e.what());
     }
 }
 
 CompileService::Ticket
 CompileService::submit(const CompileRequest &request)
 {
-    return impl_->submitImpl(request, /*shedWaitMs=*/0,
-                             /*shedding=*/false);
+    return impl_->submitImpl(request, /*shedWaitMs=*/-1);
 }
 
 CompileService::Ticket
 CompileService::trySubmit(const CompileRequest &request,
                           int maxWaitMs)
 {
-    return impl_->submitImpl(request, maxWaitMs,
-                             /*shedding=*/true);
+    return impl_->submitImpl(request, std::max(maxWaitMs, 0));
 }
 
 CompileService::ResultPtr
-CompileService::compile(const CompileRequest &request)
+CompileService::compile(const CompileRequest &request, int maxWaitMs)
 {
     auto t0 = std::chrono::steady_clock::now();
-    Ticket ticket = submit(request);
+    Ticket ticket = impl_->submitImpl(request, maxWaitMs);
     ResultPtr result;
     if (request.deadlineMs > 0 &&
         ticket.future.wait_until(
@@ -960,12 +919,6 @@ CompileService::compile(const CompileRequest &request)
     // Wait-free: one bucket fetch_add, no lock, no allocation.
     impl_->latenciesMs.record(ms);
     return result;
-}
-
-void
-CompileService::recordLatencyMs(double ms)
-{
-    impl_->latenciesMs.record(ms);
 }
 
 obs::MetricsSnapshot

@@ -22,13 +22,12 @@
  *     identical later requests are pure lookups returning the
  *     bit-identical cached result.
  *
- * The service is the unit the ROADMAP's "serve-style batching"
- * item asked for: the evaluation runner can route whole sweeps
- * through it (RunnerOptions::service), dmsd serves scripts or a
- * generated load against it, and bench/serve_throughput measures
- * its warm-vs-cold throughput.
+ * dmsd serves scripts, a generated load or TCP clients
+ * (serve/net.h) against it, and bench/serve_throughput measures its
+ * warm-vs-cold throughput.
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -70,22 +69,11 @@ struct ServeOptions
     int quarantineProbe = 16;
 
     /**
-     * Result-cache eviction policy (see EvictPolicy): fifo keeps
-     * insertion order, lru keeps access order, cost keeps the
-     * entries that were most expensive to compile (measured
-     * compile latency). Applies to both the canonical cache and
-     * the raw-text alias map.
-     */
-    EvictPolicy eviction = EvictPolicy::Fifo;
-
-    /**
      * Environment overrides via the strict parse path (garbage,
      * trailing junk and overflow rejected with a warning):
      * DMS_SERVE_WORKERS, DMS_SERVE_QUEUE_DEPTH, DMS_SERVE_SHARDS,
-     * DMS_SERVE_CACHE_CAP, DMS_SERVE_QUARANTINE_AFTER,
-     * DMS_SERVE_QUARANTINE_PROBE, and
-     * DMS_SERVE_EVICT={fifo,lru,cost} (unknown names warn and
-     * keep the default).
+     * DMS_SERVE_CACHE_CAP, DMS_SERVE_QUARANTINE_AFTER and
+     * DMS_SERVE_QUARANTINE_PROBE.
      */
     static ServeOptions fromEnv();
 };
@@ -110,7 +98,7 @@ struct CompileRequest
      * worker polls it at pipeline stage boundaries (an expired
      * compile resolves as Expired and is retired from the cache),
      * and compile() waits at most this long before synthesizing an
-     * Expired result for this caller.
+     * Expired result for this caller (see compile()).
      */
     int deadlineMs = 0;
 };
@@ -125,6 +113,10 @@ enum class CompileStatus : std::uint8_t {
     Rejected,      ///< load shed: queue stayed full past the wait
     Quarantined,   ///< poisoned key rejected without a recompile
 };
+
+/** Number of CompileStatus values (Quarantined is the last). */
+inline constexpr size_t kCompileStatusCount =
+    static_cast<size_t>(CompileStatus::Quarantined) + 1;
 
 /** Lowercase status name, e.g. "quarantined". */
 const char *compileStatusName(CompileStatus status);
@@ -177,16 +169,15 @@ class CompileService
   public:
     using ResultPtr = std::shared_ptr<const CompileResult>;
 
-    /** How a submit resolved against the cache. */
+    /**
+     * How the cache answered a submit. A request the cache never
+     * answered (Invalid, Quarantined, shed, a submit-path fault)
+     * reads Miss; its result's status says why.
+     */
     enum class Source : std::uint8_t {
-        Miss,      ///< cold: this request started a compilation
+        Miss,      ///< not answered by the cache
         Coalesced, ///< duplicate of an in-flight compilation
         Hit,       ///< served from the cache
-        Invalid,   ///< request text failed to parse (not cached)
-        Rejected,  ///< shed: queue stayed full past the wait
-        Quarantined, ///< poisoned key, rejected without compiling
-        Failed,    ///< submit-path fault; immediate Failed result
-        Expired,   ///< submit-path cancel; immediate Expired result
     };
 
     /** Handle for an accepted request. */
@@ -206,9 +197,9 @@ class CompileService
 
         /**
          * The compile's cancellation token when this submit
-         * started one (Source::Miss with a deadline); compile()
-         * fires it when the client-side wait times out so the
-         * worker stops burning on an abandoned request.
+         * queued one with a deadline; compile() fires it when the
+         * client-side wait times out so the worker stops burning
+         * on an abandoned request.
          */
         std::shared_ptr<CancelToken> cancel;
     };
@@ -236,18 +227,22 @@ class CompileService
     Ticket trySubmit(const CompileRequest &request, int maxWaitMs);
 
     /**
-     * Synchronous entry point: submit() then wait. Records the
-     * end-to-end latency into serve.latency_ms.
+     * Synchronous entry point, shared by in-process callers, the
+     * load generator and the TCP front-end: submit() — or, when
+     * @p maxWaitMs >= 0, trySubmit(request, maxWaitMs) — then wait
+     * for the result. With a deadline the wait ends at it: the
+     * compile's token is cancelled and this caller gets an Expired
+     * result. Records the end-to-end latency into serve.latency_ms,
+     * once per call.
+     *
+     * serve.expired counts Expired results: one per caller whose
+     * deadline wait ran out here, plus one per compile that
+     * resolved Expired (a worker's cancel poll or a submit-path
+     * cancel). A compile abandoned mid-flight therefore counts
+     * twice: once for its caller, once for the worker.
      */
-    ResultPtr compile(const CompileRequest &request);
-
-    /**
-     * Record one end-to-end request latency into the serving
-     * histogram. compile() calls it for in-process requests; the
-     * network front-end calls it per request line, so the metrics
-     * verb reports wire latencies too. Wait-free.
-     */
-    void recordLatencyMs(double ms);
+    ResultPtr compile(const CompileRequest &request,
+                      int maxWaitMs = -1);
 
     /**
      * The service's telemetry ("dmsmetrics v1" via metricsToText):
@@ -268,15 +263,6 @@ class CompileService
     std::unique_ptr<Impl> impl_;
     ServeOptions opts_;
 };
-
-/**
- * Build the canonical service request for one (loop, machine,
- * options) cell — the exact texts and resolved scheduler name the
- * cache keys on. Shared by the runner routing and the tests.
- */
-CompileRequest makeRequest(const Loop &loop,
-                           const MachineModel &machine,
-                           const PipelineOptions &options);
 
 } // namespace dms
 

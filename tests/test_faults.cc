@@ -4,15 +4,18 @@
  * (grammar, per-site firing determinism, wildcard matching, fault
  * kinds), the hardened compile service under chaos (every request
  * one terminal status, the daemon never dies), quarantine of
- * poisoned keys with half-open probing, deadline expiry, load
- * shedding through trySubmit, and a fuzz of the result cache's
- * eviction/retirement accounting against its conservation law.
+ * poisoned keys with half-open probing, deadline expiry and its
+ * accounting on every client path, load shedding through
+ * trySubmit, and a fuzz of the result cache's eviction/retirement
+ * accounting against its conservation law.
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,8 +23,10 @@
 #include "analysis/analyze.h"
 #include "machine/desc.h"
 #include "obs/metrics.h"
+#include "requests.h"
 #include "serve/cache.h"
 #include "serve/loadgen.h"
+#include "serve/net.h"
 #include "serve/service.h"
 #include "support/faultinject.h"
 #include "support/rng.h"
@@ -462,9 +467,9 @@ TEST(Faults, TrySubmitShedsWhenTheQueueStaysFull)
     int compiled = 0;
     for (CompileService::Ticket &t : tickets) {
         CompileService::ResultPtr r = t.future.get();
-        if (t.source == CompileService::Source::Rejected) {
+        if (r->status == CompileStatus::Rejected) {
             ++shed;
-            EXPECT_EQ(r->status, CompileStatus::Rejected);
+            EXPECT_EQ(t.source, CompileService::Source::Miss);
             EXPECT_NE(r->error.find("queue full"),
                       std::string::npos);
         } else {
@@ -486,6 +491,88 @@ TEST(Faults, TrySubmitShedsWhenTheQueueStaysFull)
     EXPECT_EQ(degraded->value, 1.0);
     expectMetricsConsistent(service, "shed");
     disarmFaults();
+}
+
+/** The serve.latency_ms sample count of @p service. */
+std::uint64_t
+latencySamples(const CompileService &service)
+{
+    const obs::MetricsSnapshot snap = service.metrics();
+    const auto *latency = snap.findHistogram("serve.latency_ms");
+    EXPECT_NE(latency, nullptr);
+    return latency != nullptr ? latency->hist.count : 0;
+}
+
+/**
+ * One request that expires in flight moves serve.expired and the
+ * serve.latency_ms count by the same amounts whichever client path
+ * sent it — compile(), the load generator's shedding path or TCP —
+ * because all three end in CompileService::compile's deadline wait.
+ */
+TEST(Faults, DeadlineAccountingMatchesOnEveryPath)
+{
+    FaultGuard guard;
+    FaultPlan plan;
+    // 200 ms per stage boundary against a 50 ms budget: the
+    // client's wait runs out long before the worker's cancel poll.
+    plan.add({"pipeline.*", 1.0, 8, FaultKind::Delay, 200000});
+    armFaults(plan);
+
+    using Send = std::function<CompileStatus(CompileService &,
+                                             const CompileRequest &)>;
+    const std::pair<const char *, Send> paths[] = {
+        {"compile",
+         [](CompileService &service, const CompileRequest &req) {
+             return service.compile(req)->status;
+         }},
+        {"shedding",
+         [](CompileService &service, const CompileRequest &req) {
+             RetryPolicy policy;
+             policy.deadlineMs = req.deadlineMs;
+             policy.submitWaitMs = 0;
+             Rng rng(1);
+             return compileWithRetry(service, req, policy, rng)
+                 ->status;
+         }},
+        {"tcp",
+         [](CompileService &service, const CompileRequest &req) {
+             NetServer server(service);
+             std::string error;
+             EXPECT_TRUE(server.start(error)) << error;
+             NetClient client;
+             EXPECT_TRUE(client.connect("127.0.0.1", server.port(),
+                                        5000, error))
+                 << error;
+             CompileResult result;
+             EXPECT_TRUE(client.compile(req, result, error)) << error;
+             return result.status;
+         }},
+    };
+
+    for (const auto &[name, send] : paths) {
+        SCOPED_TRACE(name);
+        ServeOptions so;
+        so.workers = 1;
+        CompileService service(so);
+        CompileRequest req = kernelRequest("daxpy");
+        req.deadlineMs = 50;
+        EXPECT_EQ(send(service, req), CompileStatus::Expired);
+
+        // The worker resolves the abandoned compile at its next
+        // cancel poll; retiring the entry is its last step.
+        const auto give_up = std::chrono::steady_clock::now() +
+                             std::chrono::seconds(20);
+        while (counter(service, "cache.retired") == 0 &&
+               std::chrono::steady_clock::now() < give_up)
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(5));
+        ASSERT_EQ(counter(service, "cache.retired"), 1u);
+
+        // One Expired result for the caller, one for the worker.
+        EXPECT_EQ(counter(service, "serve.expired"), 2u);
+        EXPECT_EQ(latencySamples(service), 1u);
+        expectMetricsConsistent(service, name);
+    }
 }
 
 // --- request validation (the paths that used to panic) -----------------
@@ -553,14 +640,12 @@ TEST(Validate, PanicReachableRequestsRejectedStructured)
  * residency. After every operation the recount
  *   inserted == size() + evictions() + retired()
  * must hold exactly, and no lookup may ever surface a failed
- * entry. The law is policy-independent: LRU reorders the victim
- * queue and cost-aware re-ranks it, but neither may create or
- * leak an entry, so the same fuzz runs under all three.
+ * entry.
  */
 void
-conservationFuzz(EvictPolicy policy, std::uint64_t seed)
+conservationFuzz(std::uint64_t seed)
 {
-    ResultCache cache(/*shards=*/2, /*capacity=*/8, policy);
+    ResultCache cache(/*shards=*/2, /*capacity=*/8);
     Rng rng(seed);
     std::uint64_t inserted = 0;
     std::uint64_t resolved_failed = 0;
@@ -575,11 +660,6 @@ conservationFuzz(EvictPolicy policy, std::uint64_t seed)
             ++resolved_failed;
             entry->failed.store(true, std::memory_order_release);
         }
-        // A synthetic compile cost so the cost-aware policy has
-        // something to rank by; Fifo/Lru ignore it.
-        entry->costMs.store(
-            static_cast<double>(rng.range(1, 500)),
-            std::memory_order_relaxed);
         entry->ready.store(true, std::memory_order_release);
         entry->promise.set_value(
             std::make_shared<CompileResult>());
@@ -636,19 +716,12 @@ conservationFuzz(EvictPolicy policy, std::uint64_t seed)
     EXPECT_GT(resolved_failed, 0u);
 }
 
-TEST(CacheAccounting, FuzzedConservationExactFifo)
+TEST(CacheAccounting, FuzzedConservationExact)
 {
-    conservationFuzz(EvictPolicy::Fifo, 0xacc7ULL);
-}
-
-TEST(CacheAccounting, FuzzedConservationExactLru)
-{
-    conservationFuzz(EvictPolicy::Lru, 0x14c7ULL);
-}
-
-TEST(CacheAccounting, FuzzedConservationExactCost)
-{
-    conservationFuzz(EvictPolicy::Cost, 0xc057ULL);
+    for (const std::uint64_t seed : {0xacc7ULL, 0x14c7ULL, 0xc057ULL}) {
+        SCOPED_TRACE(seed);
+        conservationFuzz(seed);
+    }
 }
 
 } // namespace

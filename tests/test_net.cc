@@ -28,6 +28,7 @@
 
 #include "core/dms.h"
 #include "machine/desc.h"
+#include "requests.h"
 #include "serve/net.h"
 #include "serve/service.h"
 #include "support/rng.h"

@@ -22,6 +22,7 @@
 #include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "requests.h"
 #include "samples.h"
 #include "serve/net.h"
 #include "serve/service.h"

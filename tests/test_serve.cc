@@ -3,7 +3,7 @@
  * Compile-service tests: env-knob hardening, cold/warm parity
  * (bit-identical cached results), single-flight dedup under
  * concurrent duplicate requests (the ASan/TSan-relevant hammer),
- * sweep routing equivalence, capacity eviction, and graceful
+ * sweep parity with runMatrix, FIFO capacity eviction, and graceful
  * rejection of malformed requests.
  */
 
@@ -19,6 +19,7 @@
 #include "eval/runner.h"
 #include "machine/desc.h"
 #include "obs/metrics.h"
+#include "requests.h"
 #include "sched/mii.h"
 #include "sched/scheduler.h"
 #include "serve/cache.h"
@@ -383,20 +384,25 @@ TEST(Serve, EvictionRecompilesEvictedKeys)
     EXPECT_TRUE(again->ok);
 }
 
-// --- eviction policies --------------------------------------------------
+// --- FIFO eviction -----------------------------------------------------
 
-/** Insert @p key as a ready entry with the given compile cost. */
+/** Resolve @p entry as a successful compile. */
 void
-insertReady(ResultCache &cache, const std::string &key,
-            double costMs = 1.0)
+publish(CacheEntry &entry)
+{
+    entry.ready.store(true, std::memory_order_release);
+    entry.promise.set_value(std::make_shared<CompileResult>());
+}
+
+/** Insert @p key as a ready entry. */
+void
+insertReady(ResultCache &cache, const std::string &key)
 {
     std::shared_ptr<CacheEntry> entry;
     ASSERT_EQ(cache.acquire(key, fnv1a64(key), entry),
               ResultCache::Lookup::Inserted)
         << key;
-    entry->costMs.store(costMs, std::memory_order_relaxed);
-    entry->ready.store(true, std::memory_order_release);
-    entry->promise.set_value(std::make_shared<CompileResult>());
+    publish(*entry);
 }
 
 bool
@@ -405,30 +411,10 @@ resident(ResultCache &cache, const std::string &key)
     return cache.find(key, fnv1a64(key)) != nullptr;
 }
 
-/** LRU: a find() refreshes recency, so the victim is the coldest. */
-TEST(CacheEviction, LruEvictsLeastRecentlyTouched)
-{
-    ResultCache cache(/*shards=*/1, /*capacity=*/3,
-                      EvictPolicy::Lru);
-    insertReady(cache, "a");
-    insertReady(cache, "b");
-    insertReady(cache, "c");
-    // Touch a then b: c is now the least recently used.
-    EXPECT_TRUE(resident(cache, "a"));
-    EXPECT_TRUE(resident(cache, "b"));
-    insertReady(cache, "d");
-    EXPECT_EQ(cache.evictions(), 1u);
-    EXPECT_FALSE(resident(cache, "c"));
-    EXPECT_TRUE(resident(cache, "a"));
-    EXPECT_TRUE(resident(cache, "b"));
-    EXPECT_TRUE(resident(cache, "d"));
-}
-
 /** FIFO ignores touches: insertion order alone picks the victim. */
 TEST(CacheEviction, FifoIgnoresRecency)
 {
-    ResultCache cache(/*shards=*/1, /*capacity=*/3,
-                      EvictPolicy::Fifo);
+    ResultCache cache(/*shards=*/1, /*capacity=*/3);
     insertReady(cache, "a");
     insertReady(cache, "b");
     insertReady(cache, "c");
@@ -439,51 +425,51 @@ TEST(CacheEviction, FifoIgnoresRecency)
     EXPECT_TRUE(resident(cache, "b"));
 }
 
-/** Cost-aware keeps the expensive entries, evicts the cheap one. */
-TEST(CacheEviction, CostEvictsTheCheapestEntry)
+/**
+ * In-flight entries are pinned, so a shard can go over its cap;
+ * once they publish, the next insert pays the whole overshoot back
+ * rather than dropping one entry and staying over.
+ */
+TEST(CacheEviction, OvershootIsPaidBackOnceEntriesPublish)
 {
-    ResultCache cache(/*shards=*/1, /*capacity=*/3,
-                      EvictPolicy::Cost);
-    insertReady(cache, "pricey", 400.0);
-    insertReady(cache, "cheap", 2.0);
-    insertReady(cache, "mid", 60.0);
-    insertReady(cache, "new", 10.0);
-    EXPECT_EQ(cache.evictions(), 1u);
-    EXPECT_FALSE(resident(cache, "cheap"));
-    EXPECT_TRUE(resident(cache, "pricey"));
-    EXPECT_TRUE(resident(cache, "mid"));
-    EXPECT_TRUE(resident(cache, "new"));
-}
-
-TEST(CacheEviction, PolicyNamesRoundTrip)
-{
-    for (EvictPolicy p : {EvictPolicy::Fifo, EvictPolicy::Lru,
-                          EvictPolicy::Cost}) {
-        EvictPolicy back = EvictPolicy::Fifo;
-        EXPECT_TRUE(evictPolicyFromName(evictPolicyName(p), back));
-        EXPECT_EQ(back, p);
+    ResultCache cache(/*shards=*/1, /*capacity=*/2);
+    std::vector<std::shared_ptr<CacheEntry>> inflight;
+    for (const char *key : {"a", "b", "c"}) {
+        std::shared_ptr<CacheEntry> entry;
+        ASSERT_EQ(cache.acquire(key, fnv1a64(key), entry),
+                  ResultCache::Lookup::Inserted);
+        inflight.push_back(std::move(entry));
     }
-    EvictPolicy p = EvictPolicy::Lru;
-    EXPECT_FALSE(evictPolicyFromName("mru", p));
-    EXPECT_EQ(p, EvictPolicy::Lru); // unchanged on reject
+    EXPECT_EQ(cache.size(), 3u);
+    for (const std::shared_ptr<CacheEntry> &entry : inflight)
+        publish(*entry);
+
+    insertReady(cache, "d");
+    insertReady(cache, "e");
+    EXPECT_LE(cache.size(), 2u);
+    EXPECT_EQ(cache.size() + cache.evictions() + cache.retired(),
+              5u);
+    EXPECT_TRUE(resident(cache, "e"));
 }
 
-TEST(CacheEviction, EnvKnobSelectsThePolicy)
+/** runMatrix's cells in its slot order: per config, IMS then DMS. */
+std::vector<LoopRun>
+matrixCells(const std::vector<ConfigRun> &matrix)
 {
-    ::setenv("DMS_SERVE_EVICT", "cost", 1);
-    EXPECT_EQ(ServeOptions::fromEnv().eviction, EvictPolicy::Cost);
-    ::setenv("DMS_SERVE_EVICT", "lru", 1);
-    EXPECT_EQ(ServeOptions::fromEnv().eviction, EvictPolicy::Lru);
-    // Unknown names warn and keep the default.
-    ::setenv("DMS_SERVE_EVICT", "banana", 1);
-    EXPECT_EQ(ServeOptions::fromEnv().eviction, EvictPolicy::Fifo);
-    ::unsetenv("DMS_SERVE_EVICT");
+    std::vector<LoopRun> cells;
+    for (const ConfigRun &config : matrix) {
+        cells.insert(cells.end(), config.unclustered.begin(),
+                     config.unclustered.end());
+        cells.insert(cells.end(), config.clustered.begin(),
+                     config.clustered.end());
+    }
+    return cells;
 }
 
 /**
- * Sweep routing: a matrix run through the service must be
- * bit-identical to the direct path, and a second run must be
- * served from the cache.
+ * Sweep parity: every cell of a matrix, compiled as a service
+ * request, is bit-identical to runMatrix's direct path, and a
+ * second sweep is served from the cache.
  */
 TEST(Serve, MatrixViaServiceBitIdentical)
 {
@@ -494,24 +480,57 @@ TEST(Serve, MatrixViaServiceBitIdentical)
     direct.maxClusters = 3;
     direct.progress = false;
     direct.jobs = 1;
-    std::vector<ConfigRun> want = runMatrix(suite, direct);
+    const std::vector<LoopRun> want =
+        matrixCells(runMatrix(suite, direct));
 
     ServeOptions so;
     so.workers = 2;
     CompileService service(so);
-    RunnerOptions routed = direct;
-    routed.service = &service;
-    std::vector<ConfigRun> got = runMatrix(suite, routed);
-    EXPECT_TRUE(got == want);
+    // Submit every cell before collecting any, in matrixCells'
+    // order, with the runner's columns and machine templates.
+    const auto sweep = [&] {
+        std::vector<CompileService::Ticket> tickets;
+        for (int c = 1; c <= direct.maxClusters; ++c) {
+            for (const bool clustered : {false, true}) {
+                PipelineOptions po;
+                po.scheduler = clustered ? direct.clusteredScheduler
+                                         : direct.unclusteredScheduler;
+                po.config.base = direct.ims;
+                po.config.dms = direct.dms;
+                po.verify = direct.verify;
+                po.regalloc = direct.regalloc;
+                MachineModel machine = MachineModel::unclustered(1);
+                std::string error;
+                EXPECT_TRUE(machineFromText(
+                    expandMachineTemplate(
+                        clustered ? direct.clusteredMachine
+                                  : direct.unclusteredMachine,
+                        c),
+                    machine, error))
+                    << error;
+                for (const Loop &loop : suite)
+                    tickets.push_back(service.submit(
+                        makeRequest(loop, machine, po)));
+            }
+        }
+        std::vector<LoopRun> got;
+        for (CompileService::Ticket &t : tickets) {
+            CompileService::ResultPtr result = t.future.get();
+            EXPECT_TRUE(result->parsed) << result->error;
+            got.push_back(result->run);
+        }
+        return got;
+    };
 
+    EXPECT_TRUE(sweep() == want);
     const std::uint64_t first_misses =
         counter(service, "serve.misses");
     const std::uint64_t first_hits = counter(service, "serve.hits");
+    EXPECT_EQ(first_misses, want.size());
     EXPECT_EQ(first_hits + counter(service, "serve.coalesced"), 0u);
 
     // Second sweep: every cell is a cache hit, same matrix.
-    std::vector<ConfigRun> warm = runMatrix(suite, routed);
-    EXPECT_TRUE(warm == want);
+    EXPECT_TRUE(sweep() == want);
     EXPECT_EQ(counter(service, "serve.misses"), first_misses);
     EXPECT_EQ(counter(service, "serve.hits") - first_hits,
               first_misses);
