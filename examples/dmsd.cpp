@@ -35,10 +35,9 @@
  *   --backoff-ms N     load-gen: base retry backoff (default 2)
  *   --deadline-ms N    load-gen: per-request deadline (default 0 =
  *                      none; expiry is a structured Expired result)
- *   --submit-wait-ms N load-gen: shed wait — submit through the
- *                      non-blocking trySubmit path, rejecting when
- *                      the queue stays full this long (default:
- *                      blocking submit)
+ *   --submit-wait-ms N load-gen: shed wait — compile() rejects a
+ *                      request when the queue stays full this long
+ *                      (default: blocking submit)
  *   --metrics-out FILE write the final metrics snapshot in the
  *                      `dmsmetrics v1` text form (lintable with
  *                      dmslint); over the wire in --connect mode

@@ -29,7 +29,7 @@ bestCluster(const Ddg &ddg, const MachineModel &machine, OpId op,
             ClusterId cn = assign[static_cast<size_t>(nb)];
             if (cn == kInvalidCluster)
                 return;
-            int d = machine.ringDistance(c, cn);
+            int d = machine.distance(c, cn);
             cost += d <= 1 ? d * 4L : 8L * d + 16;
         };
         for (EdgeId e : ddg.op(op).ins) {

@@ -76,16 +76,6 @@ farPredecessorEdges(const Ddg &ddg, const PartialSchedule &ps,
     }
 }
 
-std::vector<EdgeId>
-farPredecessorEdges(const Ddg &ddg, const PartialSchedule &ps,
-                    const MachineModel &machine, OpId op,
-                    ClusterId cluster)
-{
-    std::vector<EdgeId> out;
-    farPredecessorEdges(ddg, ps, machine, op, cluster, out);
-    return out;
-}
-
 void
 commConflictPeers(const Ddg &ddg, const PartialSchedule &ps,
                   const MachineModel &machine, OpId op,
@@ -101,15 +91,6 @@ commConflictPeers(const Ddg &ddg, const PartialSchedule &ps,
     });
 }
 
-std::vector<OpId>
-commConflictPeers(const Ddg &ddg, const PartialSchedule &ps,
-                  const MachineModel &machine, OpId op)
-{
-    std::vector<OpId> out;
-    commConflictPeers(ddg, ps, machine, op, out);
-    return out;
-}
-
 void
 clustersByAffinity(const Ddg &ddg, const PartialSchedule &ps,
                    const MachineModel &machine, OpId op, int rotate,
@@ -117,10 +98,10 @@ clustersByAffinity(const Ddg &ddg, const PartialSchedule &ps,
                    std::vector<ClusterId> &out)
 {
     const int n = machine.numClusters();
-    // Communication affinity: ring distance to scheduled flow
+    // Communication affinity: network distance to scheduled flow
     // neighbours. Load term: occupied slots of the op's own FU
     // class, so ops without placed neighbours (typically loads)
-    // spread across the ring instead of clumping in cluster 0 and
+    // spread across the clusters instead of clumping in cluster 0 and
     // balanced clusters keep the II at ResMII.
     FuClass cls = fuClassOf(ddg.op(op).opc);
     std::vector<long> &cost = scratch.cost;
@@ -130,7 +111,7 @@ clustersByAffinity(const Ddg &ddg, const PartialSchedule &ps,
         ClusterId cn = ps.clusterOf(nb);
         for (ClusterId c = 0; c < n; ++c) {
             cost[static_cast<size_t>(c)] +=
-                3L * machine.ringDistance(c, cn);
+                3L * machine.distance(c, cn);
         }
     });
 
@@ -166,16 +147,6 @@ clustersByAffinity(const Ddg &ddg, const PartialSchedule &ps,
         }
         out[static_cast<size_t>(j + 1)] = key;
     }
-}
-
-std::vector<ClusterId>
-clustersByAffinity(const Ddg &ddg, const PartialSchedule &ps,
-                   const MachineModel &machine, OpId op, int rotate)
-{
-    AffinityScratch scratch;
-    std::vector<ClusterId> out;
-    clustersByAffinity(ddg, ps, machine, op, rotate, scratch, out);
-    return out;
 }
 
 } // namespace dms

@@ -46,12 +46,6 @@ void farPredecessorEdges(const Ddg &ddg, const PartialSchedule &ps,
                          const MachineModel &machine, OpId op,
                          ClusterId cluster, std::vector<EdgeId> &out);
 
-/** Allocating convenience overload of the above. */
-std::vector<EdgeId> farPredecessorEdges(const Ddg &ddg,
-                                        const PartialSchedule &ps,
-                                        const MachineModel &machine,
-                                        OpId op, ClusterId cluster);
-
 /**
  * Scheduled flow neighbours (producers and consumers over active
  * flow edges) of @p op that are indirectly connected to @p op's own
@@ -62,12 +56,6 @@ void commConflictPeers(const Ddg &ddg, const PartialSchedule &ps,
                        const MachineModel &machine, OpId op,
                        std::vector<OpId> &out);
 
-/** Allocating convenience overload of the above. */
-std::vector<OpId> commConflictPeers(const Ddg &ddg,
-                                    const PartialSchedule &ps,
-                                    const MachineModel &machine,
-                                    OpId op);
-
 /** Reusable buffers for the allocation-free affinity query. */
 struct AffinityScratch
 {
@@ -76,20 +64,15 @@ struct AffinityScratch
 
 /**
  * Clusters ordered by how close they are to @p op's scheduled flow
- * neighbours (sum of ring distances, ties by index): the scan order
- * for strategies 1 and 2. Written into @p out (cleared first);
+ * neighbours (sum of network distances, plus the load of the op's
+ * FU class; ties by index rotated by @p rotate): the scan order for
+ * strategies 1 and 2. Written into @p out (cleared first);
  * @p scratch holds the per-cluster cost table between calls.
  */
 void clustersByAffinity(const Ddg &ddg, const PartialSchedule &ps,
                         const MachineModel &machine, OpId op,
                         int rotate, AffinityScratch &scratch,
                         std::vector<ClusterId> &out);
-
-/** Allocating convenience overload of the above. */
-std::vector<ClusterId> clustersByAffinity(const Ddg &ddg,
-                                          const PartialSchedule &ps,
-                                          const MachineModel &machine,
-                                          OpId op, int rotate = 0);
 
 } // namespace dms
 

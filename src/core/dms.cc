@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/affinity.h"
 #include "core/chain.h"
 #include "core/comm.h"
 #include "obs/trace.h"
@@ -60,10 +59,9 @@ struct ChainPlan
 /**
  * DMS state reused across every (II, restart) attempt of one
  * scheduling run: the scratch graph, the partial schedule, the
- * chain registry, the height table, the priority worklist, the
- * incremental affinity rows and the per-placement scratch vectors
- * all live in one arena that beginAttempt() re-shapes without
- * reallocating.
+ * chain registry, the height table, the priority worklist and the
+ * per-placement scratch vectors all live in one arena that
+ * beginAttempt() re-shapes without reallocating.
  */
 class DmsAttempt
 {
@@ -89,7 +87,6 @@ class DmsAttempt
         ddg_->resetTo(original_);
         ps_->reset(ii);
         chains_.reset();
-        affinity_tracker_.attach(*ddg_, *ps_, machine_);
         // The graph is back to its original shape, so the ladder
         // reuses heights verbatim across restarts and delta-steps
         // across II increments.
@@ -121,14 +118,12 @@ class DmsAttempt
     std::unique_ptr<Ddg>
     takeDdg()
     {
-        ddg_->setListener(nullptr); // tracker dies with the attempt
         return std::move(ddg_);
     }
 
     std::unique_ptr<PartialSchedule>
     takeSchedule()
     {
-        ps_->setListener(nullptr);
         return std::move(ps_);
     }
 
@@ -153,9 +148,9 @@ class DmsAttempt
         // failed strategy 1 mutates nothing, and a failed
         // strategy 2 dissolves every chain it placed, so the
         // schedule state the ranking depends on is identical at
-        // each strategy entry. The ranking itself comes from the
-        // incrementally maintained tracker rows.
-        affinity_tracker_.order(op, variant_, affinity_);
+        // each strategy entry.
+        clustersByAffinity(*ddg_, *ps_, machine_, op, variant_,
+                           affinity_scratch_, affinity_);
         if (strategy1(op))
             return;
         if (params_.enableChains && strategy2(op))
@@ -517,7 +512,6 @@ class DmsAttempt
     HeightLadder ladder_;
     Heights heights_;
     Worklist worklist_;
-    AffinityTracker affinity_tracker_;
 
     /** Per-placement scratch, reused to stay allocation-free. */
     std::vector<OpId> evicted_;
@@ -525,6 +519,7 @@ class DmsAttempt
     std::vector<OpId> peers_;
     std::vector<EdgeId> far_edges_;
     std::vector<ClusterId> affinity_;
+    AffinityScratch affinity_scratch_;
     std::vector<int> base_free_;
     std::vector<int> claimed_;
     std::vector<int> created_;

@@ -40,9 +40,7 @@ Ddg::resetTo(const Ddg &original)
     // Vector copy-assignment reuses the destination buffers when
     // capacity allows — including the per-operation ins/outs
     // vectors of the common prefix — which is what makes repeated
-    // attempts allocation-free in steady state. An attached
-    // listener survives (and fires nothing); it must rebuild its
-    // own state after the reset.
+    // attempts allocation-free in steady state.
     ops_ = original.ops_;
     edges_ = original.edges_;
     live_ops_ = original.live_ops_;
@@ -80,8 +78,6 @@ Ddg::addEdge(OpId src, OpId dst, DepKind kind, int distance,
     EdgeId id = static_cast<EdgeId>(edges_.size()) - 1;
     ops_[static_cast<size_t>(src)].outs.push_back(id);
     ops_[static_cast<size_t>(dst)].ins.push_back(id);
-    if (listener_ != nullptr)
-        listener_->onEdgeActivated(id);
     return id;
 }
 
@@ -90,8 +86,6 @@ Ddg::removeEdge(EdgeId eid)
 {
     Edge &e = edge(eid);
     DMS_ASSERT(!e.dead, "removing dead edge %d", eid);
-    if (listener_ != nullptr && !e.replaced)
-        listener_->onEdgeDeactivated(eid);
     auto unlink = [eid](std::vector<EdgeId> &v) {
         auto it = std::find(v.begin(), v.end(), eid);
         DMS_ASSERT(it != v.end(), "edge %d missing from adjacency",
@@ -121,8 +115,6 @@ Ddg::markReplaced(EdgeId eid)
     Edge &e = edge(eid);
     DMS_ASSERT(!e.dead && !e.replaced, "bad replace of edge %d", eid);
     DMS_ASSERT(e.kind == DepKind::Flow, "replacing non-flow edge");
-    if (listener_ != nullptr)
-        listener_->onEdgeDeactivated(eid);
     e.replaced = true;
 }
 
@@ -132,8 +124,6 @@ Ddg::unmarkReplaced(EdgeId eid)
     Edge &e = edge(eid);
     DMS_ASSERT(!e.dead && e.replaced, "bad unreplace of edge %d", eid);
     e.replaced = false;
-    if (listener_ != nullptr)
-        listener_->onEdgeActivated(eid);
 }
 
 std::vector<OpId>

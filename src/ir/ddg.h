@@ -112,28 +112,6 @@ struct Edge
 };
 
 /**
- * Observer of edge-activation changes. The incremental affinity
- * bookkeeping of DMS needs to know when an edge starts or stops
- * constraining the schedule; all four mutation paths (addEdge,
- * removeEdge, markReplaced, unmarkReplaced) report through this so
- * the observer cannot fall out of sync with chain splicing.
- * resetTo() rebuilds the graph wholesale and fires nothing — an
- * attached observer must rebuild its state afterwards.
- */
-class DdgListener
-{
-  public:
-    /** @p e just became active (constrains the schedule). */
-    virtual void onEdgeActivated(EdgeId e) = 0;
-
-    /** @p e (still readable) just stopped being active. */
-    virtual void onEdgeDeactivated(EdgeId e) = 0;
-
-  protected:
-    ~DdgListener() = default;
-};
-
-/**
  * Mutable data dependence graph of one innermost loop iteration.
  */
 class Ddg
@@ -242,21 +220,11 @@ class Ddg
     /** Human-readable label such as "op7:mul". */
     std::string opLabel(OpId id) const;
 
-    /**
-     * Attach (or clear, with nullptr) the mutation observer. Not
-     * owned; the caller keeps it alive while attached. Copying a
-     * Ddg copies the pointer, so clear it before handing a graph to
-     * another owner.
-     */
-    void setListener(DdgListener *listener) { listener_ = listener; }
-    DdgListener *listener() const { return listener_; }
-
   private:
     std::vector<Operation> ops_;
     std::vector<Edge> edges_;
     int live_ops_ = 0;
     int unroll_factor_ = 1;
-    DdgListener *listener_ = nullptr;
 };
 
 inline const Operation &

@@ -141,12 +141,6 @@ class MachineModel
     /** Minimal hop count between clusters. */
     int distance(ClusterId a, ClusterId b) const;
 
-    /** Legacy name for distance() from the ring-only model. */
-    int ringDistance(ClusterId a, ClusterId b) const
-    {
-        return distance(a, b);
-    }
-
     /**
      * Directly connected: same cluster or network neighbours. A flow
      * dependence between directly connected clusters needs no move

@@ -78,8 +78,6 @@ PartialSchedule::placeAt(OpId op, Cycle cycle, ClusterId cluster,
     ++scheduled_count_;
     if (!max_time_dirty_)
         max_time_ = std::max(max_time_, cycle);
-    if (listener_ != nullptr)
-        listener_->onPlace(op, cluster);
 }
 
 bool
@@ -144,11 +142,8 @@ PartialSchedule::unschedule(OpId op)
     rt_.clear(op, p.cluster, cls, p.fuInstance, p.time % ii_);
     if (!max_time_dirty_ && p.time == max_time_)
         max_time_dirty_ = true;
-    ClusterId cluster = p.cluster;
     p = Placement{};
     --scheduled_count_;
-    if (listener_ != nullptr)
-        listener_->onUnplace(op, cluster);
 }
 
 void

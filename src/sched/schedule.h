@@ -23,26 +23,6 @@
 
 namespace dms {
 
-/**
- * Observer of placement changes. Every mutation funnels through
- * placeAt()/unschedule(), so an attached listener sees each add and
- * remove exactly once — the hook the incremental affinity tracker
- * uses. reset() clears wholesale and fires nothing; an attached
- * listener must rebuild afterwards.
- */
-class PlacementListener
-{
-  public:
-    /** @p op was just placed in @p cluster. */
-    virtual void onPlace(OpId op, ClusterId cluster) = 0;
-
-    /** @p op was just removed from @p cluster. */
-    virtual void onUnplace(OpId op, ClusterId cluster) = 0;
-
-  protected:
-    ~PlacementListener() = default;
-};
-
 /** Where and when one operation is placed. */
 struct Placement
 {
@@ -158,16 +138,6 @@ class PartialSchedule
 
     const ReservationTable &reservations() const { return rt_; }
 
-    /**
-     * Attach (or clear, with nullptr) the placement observer. Not
-     * owned; the caller keeps it alive while attached.
-     */
-    void setListener(PlacementListener *listener)
-    {
-        listener_ = listener;
-    }
-    PlacementListener *listener() const { return listener_; }
-
   private:
     void ensureSize(OpId op) const;
 
@@ -193,8 +163,6 @@ class PartialSchedule
      * unschedule. */
     mutable Cycle max_time_ = -1;
     mutable bool max_time_dirty_ = false;
-
-    PlacementListener *listener_ = nullptr;
 };
 
 inline void

@@ -148,7 +148,7 @@ verifySchedule(const Ddg &ddg, const MachineModel &machine,
                             "distance %d",
                             ddg.opLabel(ed.src).c_str(), cs,
                             ddg.opLabel(ed.dst).c_str(), cd,
-                            machine.ringDistance(cs, cd)));
+                            machine.distance(cs, cd)));
         }
     }
 
@@ -166,7 +166,7 @@ verifySchedule(const Ddg &ddg, const MachineModel &machine,
                 ++flow_in;
                 if (ps.isScheduled(id) &&
                     ps.isScheduled(ddg.edge(e).src) &&
-                    machine.ringDistance(
+                    machine.distance(
                         ps.clusterOf(ddg.edge(e).src),
                         ps.clusterOf(id)) != 1) {
                     complain(strfmt("%s not one hop from its "
@@ -181,7 +181,7 @@ verifySchedule(const Ddg &ddg, const MachineModel &machine,
                 ++flow_out;
                 if (ps.isScheduled(id) &&
                     ps.isScheduled(ddg.edge(e).dst) &&
-                    machine.ringDistance(
+                    machine.distance(
                         ps.clusterOf(id),
                         ps.clusterOf(ddg.edge(e).dst)) != 1) {
                     complain(strfmt("%s not one hop from its "

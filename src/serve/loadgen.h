@@ -75,8 +75,8 @@ struct RetryPolicy
     int deadlineMs = 0;
 
     /**
-     * Shed wait passed to CompileService::compile(): >= 0 submits
-     * through trySubmit() with this wait, so an overloaded service
+     * Shed wait passed to CompileService::compile(): >= 0 waits at
+     * most this long for queue space, so an overloaded service
      * rejects instead of blocking the client; negative blocks.
      */
     int submitWaitMs = -1;

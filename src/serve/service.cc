@@ -174,10 +174,10 @@ class JobQueue
 void
 appendOptionsKey(std::string &key, const PipelineOptions &po)
 {
-    // Through c_str(), as the pinned key bytes have it: a scheduler
-    // name with an embedded NUL keys as its prefix.
+    // The name's full bytes: a scheduler name with an embedded NUL
+    // must not key as its C-string prefix.
     key += "sched=";
-    key += po.scheduler.c_str();
+    key += po.scheduler;
     appendInt(key, ";unroll=", po.forceUnroll);
     appendInt(key, ";umax=", po.unrollMaxFactor);
     appendInt(key, ";uops=", po.unrollMaxOps);
@@ -518,8 +518,8 @@ struct CompileService::Impl
     std::unordered_map<std::string, PoisonState> poison;
 
     /**
-     * submit() when @p shedWaitMs < 0 (block while the queue is
-     * full), trySubmit() otherwise (shed after that long).
+     * Block while the queue is full when @p shedWaitMs < 0 (submit()
+     * and compile()'s default); otherwise shed after that long.
      */
     Ticket submitImpl(const CompileRequest &request, int shedWaitMs);
 };
@@ -879,13 +879,6 @@ CompileService::Ticket
 CompileService::submit(const CompileRequest &request)
 {
     return impl_->submitImpl(request, /*shedWaitMs=*/-1);
-}
-
-CompileService::Ticket
-CompileService::trySubmit(const CompileRequest &request,
-                          int maxWaitMs)
-{
-    return impl_->submitImpl(request, std::max(maxWaitMs, 0));
 }
 
 CompileService::ResultPtr

@@ -218,22 +218,15 @@ class CompileService
     Ticket submit(const CompileRequest &request);
 
     /**
-     * Load-shedding submit: like submit(), but waits at most
-     * @p maxWaitMs for queue space and resolves the request as a
-     * structured Rejected result when the queue stays full —
-     * bounded latency under overload instead of unbounded
-     * blocking. @p maxWaitMs <= 0 sheds immediately when full.
-     */
-    Ticket trySubmit(const CompileRequest &request, int maxWaitMs);
-
-    /**
      * Synchronous entry point, shared by in-process callers, the
-     * load generator and the TCP front-end: submit() — or, when
-     * @p maxWaitMs >= 0, trySubmit(request, maxWaitMs) — then wait
-     * for the result. With a deadline the wait ends at it: the
-     * compile's token is cancelled and this caller gets an Expired
-     * result. Records the end-to-end latency into serve.latency_ms,
-     * once per call.
+     * load generator and the TCP front-end: submit(), then wait for
+     * the result. With @p maxWaitMs >= 0 the submit sheds instead
+     * of blocking: it waits at most that long for queue space and
+     * resolves the request as a structured Rejected result when
+     * the queue stays full (0 sheds at once). With a deadline the
+     * wait ends at it: the compile's token is cancelled and this
+     * caller gets an Expired result. Records the end-to-end latency
+     * into serve.latency_ms, once per call.
      *
      * serve.expired counts Expired results: one per caller whose
      * deadline wait ran out here, plus one per compile that

@@ -310,12 +310,15 @@ TEST(CommQueries, ConflictDetection)
     EXPECT_FALSE(commOkAt(g, ps, m, st, 2));
     EXPECT_FALSE(commOkAt(g, ps, m, st, 3));
 
-    auto far = farPredecessorEdges(g, ps, m, st, 3);
+    std::vector<EdgeId> far;
+    farPredecessorEdges(g, ps, m, st, 3, far);
     ASSERT_EQ(far.size(), 1u);
-    EXPECT_TRUE(farPredecessorEdges(g, ps, m, st, 1).empty());
+    farPredecessorEdges(g, ps, m, st, 1, far);
+    EXPECT_TRUE(far.empty());
 
     ASSERT_TRUE(ps.tryPlace(st, 4, 3));
-    auto peers = commConflictPeers(g, ps, m, st);
+    std::vector<OpId> peers;
+    commConflictPeers(g, ps, m, st, peers);
     ASSERT_EQ(peers.size(), 1u);
     EXPECT_EQ(peers[0], x);
 }
@@ -329,7 +332,9 @@ TEST(CommQueries, AffinityOrdersByDistance)
     MachineModel m = MachineModel::clusteredRing(8);
     PartialSchedule ps(g, m, 2);
     ASSERT_TRUE(ps.tryPlace(x, 0, 5));
-    auto order = clustersByAffinity(g, ps, m, st);
+    AffinityScratch scratch;
+    std::vector<ClusterId> order;
+    clustersByAffinity(g, ps, m, st, /*rotate=*/0, scratch, order);
     ASSERT_EQ(order.size(), 8u);
     EXPECT_EQ(order[0], 5); // producer's own cluster first
 }

@@ -6,11 +6,12 @@
  * one terminal status, the daemon never dies), quarantine of
  * poisoned keys with half-open probing, deadline expiry and its
  * accounting on every client path, load shedding through
- * trySubmit, and a fuzz of the result cache's eviction/retirement
- * accounting against its conservation law.
+ * compile()'s queue wait, and a fuzz of the result cache's
+ * eviction/retirement accounting against its conservation law.
  */
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -437,7 +438,7 @@ TEST(Faults, DeadlineExpiresAndKeyRetriesAfterwards)
     expectMetricsConsistent(service, "deadline");
 }
 
-TEST(Faults, TrySubmitShedsWhenTheQueueStaysFull)
+TEST(Faults, CompileShedsWhenTheQueueStaysFull)
 {
     FaultGuard guard;
     FaultPlan plan;
@@ -451,25 +452,51 @@ TEST(Faults, TrySubmitShedsWhenTheQueueStaysFull)
     so.queueDepth = 1;
     so.shards = 1;
     CompileService service(so);
-
-    std::vector<CompileService::Ticket> tickets;
-    for (int i = 0; i < 4; ++i) {
+    auto request = [](int i) {
         CompileRequest req;
         req.loopText = coldLoopText(0x5ed5ULL, i);
-        req.machineText =
-            machineToText(MachineModel::clusteredRing(4));
+        req.machineText = machineToText(MachineModel::clusteredRing(4));
         req.options.scheduler = "dms";
         req.options.regalloc = true;
-        tickets.push_back(service.trySubmit(req, /*maxWaitMs=*/0));
+        return req;
+    };
+
+    // Park the worker first, so the queue's one slot is all the
+    // callers below can get.
+    constexpr int kCallers = 4;
+    CompileService::Ticket parked = service.submit(request(kCallers));
+    for (;;) {
+        const obs::MetricsSnapshot snap = service.metrics();
+        const auto *depth = snap.findGauge("serve.queue_depth");
+        ASSERT_NE(depth, nullptr);
+        if (depth->value == 0.0)
+            break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
+
+    // Four callers released together, each shedding at once.
+    std::vector<CompileService::ResultPtr> results(kCallers);
+    std::atomic<int> ready{0};
+    std::vector<std::thread> callers;
+    for (int i = 0; i < kCallers; ++i) {
+        callers.emplace_back([&, i] {
+            const CompileRequest req = request(i);
+            ready.fetch_add(1);
+            while (ready.load() < kCallers)
+                std::this_thread::yield();
+            results[static_cast<size_t>(i)] =
+                service.compile(req, /*maxWaitMs=*/0);
+        });
+    }
+    for (std::thread &t : callers)
+        t.join();
+    EXPECT_EQ(parked.future.get()->status, CompileStatus::Ok);
 
     int shed = 0;
     int compiled = 0;
-    for (CompileService::Ticket &t : tickets) {
-        CompileService::ResultPtr r = t.future.get();
+    for (const CompileService::ResultPtr &r : results) {
         if (r->status == CompileStatus::Rejected) {
             ++shed;
-            EXPECT_EQ(t.source, CompileService::Source::Miss);
             EXPECT_NE(r->error.find("queue full"),
                       std::string::npos);
         } else {
@@ -477,9 +504,9 @@ TEST(Faults, TrySubmitShedsWhenTheQueueStaysFull)
             EXPECT_EQ(r->status, CompileStatus::Ok) << r->error;
         }
     }
-    // The worker holds one job and the queue one more; at least
-    // two of four must have been shed, and the first (submitted
-    // into an empty queue) never is.
+    // The worker holds the parked job and the queue one caller's;
+    // the first to reach the empty queue is never shed, and at
+    // least two of the rest are even if one outlives the park.
     EXPECT_GE(shed, 2);
     EXPECT_GE(compiled, 1);
 

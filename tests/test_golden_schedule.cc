@@ -9,11 +9,13 @@
  */
 
 #include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/dms.h"
 #include "ir/prepass.h"
+#include "machine/desc.h"
 #include "sched/ims.h"
 #include "workload/suite.h"
 #include "workload/unroll_policy.h"
@@ -96,6 +98,41 @@ TEST(GoldenSchedule, DmsPlacementsUnchanged)
     // mismatch means a placement decision changed somewhere.
     EXPECT_EQ(fnv.value(), 0x097286f7e5ec3f7eULL)
         << "DMS golden hash changed: 0x" << std::hex << fnv.value();
+}
+
+TEST(GoldenSchedule, DmsPlacementsUnchangedOffRing)
+{
+    // examples/machines/{mesh2x3,xbar6}.machine plus a 3x3 mesh:
+    // the affinity ranking and chain routes on non-ring distances.
+    const char *const kMachines[] = {
+        "clusters 6\ntopology mesh 2x3\nregfile queues\n"
+        "fus ldst=1 add=1 mul=1 copy=1\n",
+        "clusters 6\ntopology crossbar\nregfile queues\n"
+        "fus ldst=1 add=1 mul=1 copy=1\n",
+        "clusters 9\ntopology mesh 3x3\nregfile queues\n"
+        "fus ldst=1 add=1 mul=1 copy=1\n",
+    };
+    std::vector<MachineModel> machines;
+    for (const char *text : kMachines)
+        machines.push_back(machineFromTextOrDie(text));
+
+    Fnv fnv;
+    for (const Loop &loop : goldenSuite()) {
+        for (const MachineModel &machine : machines) {
+            Ddg body = applyUnrollPolicy(loop.ddg, machine);
+            singleUsePrepass(body,
+                             machine.latencyOf(Opcode::Copy));
+            DmsOutcome out = scheduleDms(body, machine);
+            fnv.mix(static_cast<std::uint64_t>(machine.numClusters()));
+            mixSchedule(fnv, out.sched.ok ? *out.ddg : body,
+                        out.sched);
+        }
+    }
+    // Captured while DMS still kept incremental affinity rows; the
+    // clustersByAffinity recompute must place identically.
+    EXPECT_EQ(fnv.value(), 0xe3abe4cd6929aa2fULL)
+        << "DMS off-ring golden hash changed: 0x" << std::hex
+        << fnv.value();
 }
 
 TEST(GoldenSchedule, ImsPlacementsUnchanged)

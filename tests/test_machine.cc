@@ -45,13 +45,13 @@ TEST(MachineModel, ExtraCopyUnits)
 TEST(Topology, RingDistance)
 {
     MachineModel m = MachineModel::clusteredRing(6);
-    EXPECT_EQ(m.ringDistance(0, 0), 0);
-    EXPECT_EQ(m.ringDistance(0, 1), 1);
-    EXPECT_EQ(m.ringDistance(0, 5), 1);
-    EXPECT_EQ(m.ringDistance(0, 2), 2);
-    EXPECT_EQ(m.ringDistance(0, 3), 3);
-    EXPECT_EQ(m.ringDistance(1, 4), 3);
-    EXPECT_EQ(m.ringDistance(2, 5), 3);
+    EXPECT_EQ(m.distance(0, 0), 0);
+    EXPECT_EQ(m.distance(0, 1), 1);
+    EXPECT_EQ(m.distance(0, 5), 1);
+    EXPECT_EQ(m.distance(0, 2), 2);
+    EXPECT_EQ(m.distance(0, 3), 3);
+    EXPECT_EQ(m.distance(1, 4), 3);
+    EXPECT_EQ(m.distance(2, 5), 3);
 }
 
 TEST(Topology, SmallRingsAllAdjacent)

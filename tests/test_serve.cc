@@ -315,6 +315,39 @@ TEST(Serve, InvalidRequestsRejectedGracefully)
 }
 
 /**
+ * A scheduler name with an embedded NUL is an unknown scheduler,
+ * not an alias of its C-string prefix: the options key carries the
+ * name's full bytes, so a primed "dms" entry cannot answer it.
+ */
+TEST(Serve, SchedulerNameWithNulIsNotItsPrefix)
+{
+    const Loop kernel = namedKernels()[0];
+    PipelineOptions po;
+    po.scheduler = "dms";
+    const CompileRequest dms =
+        makeRequest(kernel, MachineModel::clusteredRing(4), po);
+    CompileRequest nul = dms;
+    nul.options.scheduler = std::string("dms\0x", 5);
+
+    for (bool primed : {false, true}) {
+        ServeOptions so;
+        so.workers = 1;
+        CompileService service(so);
+        if (primed) {
+            ASSERT_EQ(service.compile(dms)->status,
+                      CompileStatus::Ok);
+        }
+        CompileService::Ticket t = service.submit(nul);
+        const char *when = primed ? "primed" : "fresh";
+        EXPECT_NE(t.source, CompileService::Source::Hit) << when;
+        CompileService::ResultPtr r = t.future.get();
+        EXPECT_EQ(r->status, CompileStatus::Invalid) << when;
+        EXPECT_NE(r->error.find("unknown scheduler"), std::string::npos)
+            << r->error;
+    }
+}
+
+/**
  * Flow-edge latencies in the loop text come from the machine's
  * latency model (overrides included), so a request against a
  * `latency`-overridden machine schedules with the same edges the
