@@ -8,6 +8,12 @@
  * i.e. budgetUsed) and attempts/sec so the perf trajectory of the
  * scheduler core is machine-readable across PRs.
  *
+ * The report-only `stages` block times the pipeline stages around
+ * the scheduler over the same problems: unroll (factor choice plus
+ * building into one reused Ddg), prepass (DMS problems only; the
+ * pipeline runs it on queue machines), mii and verify, in
+ * microseconds per problem, fastest rep. It has no gate.
+ *
  * Knobs: DMS_SUITE_COUNT (default 200 synthetic loops; the named
  * kernels bring the suite to 216), DMS_HOTPATH_REPS (default 3
  * timed repetitions; the fastest rep is reported).
@@ -34,9 +40,11 @@
 #include "core/dms.h"
 #include "eval/runner.h"
 #include "ir/prepass.h"
+#include "ir/unroll.h"
 #include "sched/ims.h"
 #include "sched/mii.h"
 #include "sched/priority.h"
+#include "sched/verifier.h"
 #include "support/diag.h"
 #include "support/strings.h"
 #include "workload/suite.h"
@@ -49,6 +57,7 @@ using namespace dms;
 /** One pre-processed scheduling problem. */
 struct Prepared
 {
+    const Loop *loop = nullptr; ///< the source of @c body
     Ddg body;
     int clusters = 0; ///< ring size, or width for unclustered
     bool clustered = false;
@@ -284,6 +293,92 @@ timeHeightLadder(const std::vector<Prepared> &work)
     return cost;
 }
 
+/** Microseconds per problem of each stage around the scheduler. */
+struct StageCost
+{
+    double unroll = 0;
+    double prepass = 0;
+    double mii = 0;
+    double verify = 0;
+};
+
+/**
+ * Time the stages the pipeline runs around the scheduler over
+ * @p work: unroll (factor choice plus unrolling into one reused
+ * Ddg, as a compilation context does), the prepass on clustered
+ * problems, mii, and verify against a schedule found once up
+ * front. Each stage reports its fastest rep.
+ */
+StageCost
+timeStages(const std::vector<Prepared> &work, int reps)
+{
+    using Clock = std::chrono::steady_clock;
+    std::vector<MachineModel> machines;
+    std::vector<DmsOutcome> outcomes;
+    machines.reserve(work.size());
+    outcomes.reserve(work.size());
+    for (const Prepared &p : work) {
+        machines.push_back(p.clustered
+                               ? MachineModel::clusteredRing(p.clusters)
+                               : MachineModel::unclustered(p.clusters));
+        DmsOutcome out;
+        if (p.clustered)
+            out = scheduleDms(p.body, machines.back());
+        else
+            out.sched = scheduleIms(p.body, machines.back());
+        if (!out.sched.ok)
+            fatal("stages: a hot-path problem did not schedule");
+        outcomes.push_back(std::move(out));
+    }
+
+    const auto since = [](Clock::time_point &t0) {
+        const Clock::time_point t1 = Clock::now();
+        const double s = std::chrono::duration<double>(t1 - t0).count();
+        t0 = t1;
+        return s;
+    };
+    StageCost best;
+    Ddg body;
+    for (int r = 0; r < reps; ++r) {
+        StageCost t;
+        for (size_t i = 0; i < work.size(); ++i) {
+            const Prepared &p = work[i];
+            const MachineModel &m = machines[i];
+            Clock::time_point t0 = Clock::now();
+            unrollDdg(p.loop->ddg, chooseUnrollFactor(p.loop->ddg, m),
+                      body);
+            t.unroll += since(t0);
+            if (p.clustered) {
+                singleUsePrepass(body, m.latencyOf(Opcode::Copy));
+                t.prepass += since(t0);
+            }
+            resMii(body, m);
+            recMii(body);
+            t.mii += since(t0);
+            const DmsOutcome &out = outcomes[i];
+            if (!verifySchedule(p.clustered ? *out.ddg : p.body, m,
+                                *out.sched.schedule)
+                     .empty())
+                fatal("stages: a hot-path schedule failed to verify");
+            t.verify += since(t0);
+        }
+        if (r == 0) {
+            best = t;
+        } else {
+            best.unroll = std::min(best.unroll, t.unroll);
+            best.prepass = std::min(best.prepass, t.prepass);
+            best.mii = std::min(best.mii, t.mii);
+            best.verify = std::min(best.verify, t.verify);
+        }
+    }
+    const double per = work.empty() ? 0 : 1e6 / work.size();
+    best.unroll *= per;
+    best.prepass *= per;
+    best.mii *= per;
+    best.verify *= per;
+    return best;
+}
+
 void
 appendThroughput(std::string &out, const char *key,
                  const Throughput &t)
@@ -340,6 +435,7 @@ main()
     for (const Loop &loop : suite) {
         for (int clusters : {4, 8}) {
             Prepared p;
+            p.loop = &loop;
             MachineModel m = MachineModel::clusteredRing(clusters);
             p.body = applyUnrollPolicy(loop.ddg, m);
             singleUsePrepass(p.body, m.latencyOf(Opcode::Copy));
@@ -348,6 +444,7 @@ main()
             dms_work.push_back(std::move(p));
         }
         Prepared p;
+        p.loop = &loop;
         MachineModel m = MachineModel::unclustered(4);
         p.body = applyUnrollPolicy(loop.ddg, m);
         p.clusters = 4;
@@ -377,6 +474,16 @@ main()
                     : 0.0,
                 ladder.affectedOps, ladder.totalOps);
 
+    // Stages sub-block: the pipeline stages around the scheduler.
+    const StageCost dms_stages = timeStages(dms_work, reps);
+    const StageCost ims_stages = timeStages(ims_work, reps);
+    std::printf("stages (us/problem): dms unroll %.2f prepass %.2f "
+                "mii %.2f verify %.2f; ims unroll %.2f mii %.2f "
+                "verify %.2f\n",
+                dms_stages.unroll, dms_stages.prepass, dms_stages.mii,
+                dms_stages.verify, ims_stages.unroll, ims_stages.mii,
+                ims_stages.verify);
+
     std::string json = "{";
     json += "\"bench\":\"sched_hotpath\",";
     json += strfmt("\"suite_size\":%zu,", suite.size());
@@ -393,6 +500,13 @@ main()
         "\"total_ops\":%ld}",
         ladder.rungs, ladder.fullSeconds, ladder.deltaSeconds,
         ladder.affectedOps, ladder.totalOps);
+    json += strfmt(
+        ",\"stages\":{\"dms\":{\"unroll_us\":%.3f,\"prepass_us\":%.3f,"
+        "\"mii_us\":%.3f,\"verify_us\":%.3f},\"ims\":{\"unroll_us\":%.3f,"
+        "\"mii_us\":%.3f,\"verify_us\":%.3f}}",
+        dms_stages.unroll, dms_stages.prepass, dms_stages.mii,
+        dms_stages.verify, ims_stages.unroll, ims_stages.mii,
+        ims_stages.verify);
     json += "}";
 
     const char *path = "BENCH_sched_hotpath.json";

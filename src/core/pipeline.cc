@@ -54,16 +54,14 @@ bool
 stageUnroll(const PipelineOptions &opts, const Loop &loop,
             const MachineModel &machine, CompilationContext &ctx)
 {
-    if (opts.forceUnroll >= 1) {
-        if (opts.forceUnroll == 1)
-            ctx.body.resetTo(loop.ddg);
-        else
-            ctx.body = unrollDdg(loop.ddg, opts.forceUnroll);
-    } else {
-        applyUnrollPolicy(loop.ddg, machine, ctx.body,
-                          opts.unrollMaxFactor, opts.unrollMaxOps);
-    }
-    ctx.iterations = iterationsFor(loop, ctx.body.unrollFactor());
+    const int factor =
+        opts.forceUnroll >= 1
+            ? opts.forceUnroll
+            : chooseUnrollFactor(loop.ddg, machine,
+                                 opts.unrollMaxFactor,
+                                 opts.unrollMaxOps);
+    unrollDdg(loop.ddg, factor, ctx.body);
+    ctx.iterations = iterationsFor(loop, factor);
     return true;
 }
 

@@ -80,15 +80,17 @@ struct PipelineOptions
 
 /**
  * Owns the artifacts flowing between stages and the per-context
- * scheduler instances. Reusable: compile after compile, the body
- * graph and scheduler arenas recycle their allocations.
+ * scheduler instances. Reusable: compile after compile, the unroll
+ * stage rebuilds @c body in place (unrollDdg keeps its op slots,
+ * their adjacency buffers and the edge array), and the scheduler
+ * arenas recycle theirs.
  */
 class CompilationContext
 {
   public:
     /** @name Stage artifacts (in pipeline order) */
     /// @{
-    Ddg body;               ///< unrolled (+ pre-passed) body
+    Ddg body;               ///< unrolled (+ pre-passed) body, reused
     PrepassStats prepass{}; ///< copy pre-pass statistics
     int resMii = 0;
     int recMii = 0;

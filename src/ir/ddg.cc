@@ -1,6 +1,7 @@
 #include "ir/ddg.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "support/diag.h"
 
@@ -19,17 +20,61 @@ depKindName(DepKind kind)
     panic("bad dep kind %d", static_cast<int>(kind));
 }
 
+Ddg::Ddg(const Ddg &other)
+{
+    resetTo(other);
+}
+
+Ddg &
+Ddg::operator=(const Ddg &other)
+{
+    if (this != &other)
+        resetTo(other);
+    return *this;
+}
+
+Ddg::Ddg(Ddg &&other) noexcept
+    : ops_(std::move(other.ops_)),
+      num_ops_(std::exchange(other.num_ops_, 0)),
+      edges_(std::move(other.edges_)),
+      live_ops_(std::exchange(other.live_ops_, 0)),
+      unroll_factor_(std::exchange(other.unroll_factor_, 1))
+{
+}
+
+Ddg &
+Ddg::operator=(Ddg &&other) noexcept
+{
+    if (this == &other)
+        return *this;
+    ops_ = std::move(other.ops_);
+    num_ops_ = std::exchange(other.num_ops_, 0);
+    edges_ = std::move(other.edges_);
+    live_ops_ = std::exchange(other.live_ops_, 0);
+    unroll_factor_ = std::exchange(other.unroll_factor_, 1);
+    return *this;
+}
+
 OpId
 Ddg::addOp(Opcode opc, OpOrigin origin)
 {
+    if (static_cast<size_t>(num_ops_) == ops_.size())
+        ops_.emplace_back();
+    // A pooled slot keeps its adjacency buffers, emptied; every
+    // other field starts from its default.
+    Operation &slot = ops_[static_cast<size_t>(num_ops_)];
     Operation o;
+    o.ins = std::move(slot.ins);
+    o.outs = std::move(slot.outs);
+    o.ins.clear();
+    o.outs.clear();
     o.opc = opc;
     o.origin = origin;
-    ops_.push_back(std::move(o));
-    ++live_ops_;
-    OpId id = static_cast<OpId>(ops_.size()) - 1;
+    const OpId id = num_ops_++;
     if (origin == OpOrigin::Original)
-        ops_.back().origId = id;
+        o.origId = id;
+    slot = std::move(o);
+    ++live_ops_;
     return id;
 }
 
@@ -37,14 +82,28 @@ void
 Ddg::resetTo(const Ddg &original)
 {
     DMS_ASSERT(this != &original, "resetTo self");
-    // Vector copy-assignment reuses the destination buffers when
-    // capacity allows — including the per-operation ins/outs
-    // vectors of the common prefix — which is what makes repeated
-    // attempts allocation-free in steady state.
-    ops_ = original.ops_;
+    // Element-wise copy-assignment reuses each destination op's
+    // ins/outs buffers, which is what makes repeated attempts
+    // allocation-free in steady state; slots past the copy stay
+    // pooled.
+    const size_t n = static_cast<size_t>(original.num_ops_);
+    if (ops_.size() < n)
+        ops_.resize(n);
+    std::copy(original.ops_.begin(), original.ops_.begin() + n,
+              ops_.begin());
+    num_ops_ = original.num_ops_;
     edges_ = original.edges_;
     live_ops_ = original.live_ops_;
     unroll_factor_ = original.unroll_factor_;
+}
+
+void
+Ddg::clear()
+{
+    num_ops_ = 0;
+    edges_.clear();
+    live_ops_ = 0;
+    unroll_factor_ = 1;
 }
 
 EdgeId

@@ -119,6 +119,16 @@ class Ddg
   public:
     Ddg() = default;
 
+    /**
+     * Copies take the ops in use only, never the pooled slots behind
+     * them (see clear()); moves take everything and leave the source
+     * empty.
+     */
+    Ddg(const Ddg &other);
+    Ddg &operator=(const Ddg &other);
+    Ddg(Ddg &&other) noexcept;
+    Ddg &operator=(Ddg &&other) noexcept;
+
     /** @name Construction */
     /// @{
 
@@ -132,6 +142,14 @@ class Ddg
      * attempt of a scheduling run without churning the allocator.
      */
     void resetTo(const Ddg &original);
+
+    /**
+     * Drop every operation and edge but keep the buffers: the edge
+     * array's capacity and every op slot, adjacency buffers
+     * included, which addOp() then reuses in order. A graph rebuilt
+     * compile after compile (the unrolled body) stops reallocating.
+     */
+    void clear();
 
     /**
      * Add a dependence edge.
@@ -162,7 +180,7 @@ class Ddg
     /// @{
 
     /** Total ids ever allocated, including tombstones. */
-    int numOps() const { return static_cast<int>(ops_.size()); }
+    int numOps() const { return num_ops_; }
     int numEdges() const { return static_cast<int>(edges_.size()); }
 
     /** Live (non-tombstoned) operation count. */
@@ -221,7 +239,9 @@ class Ddg
     std::string opLabel(OpId id) const;
 
   private:
+    /** Ops [0, num_ops_); slots past it are pooled for addOp(). */
     std::vector<Operation> ops_;
+    int num_ops_ = 0;
     std::vector<Edge> edges_;
     int live_ops_ = 0;
     int unroll_factor_ = 1;

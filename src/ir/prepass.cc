@@ -15,18 +15,11 @@ singleUsePrepass(Ddg &ddg, int copy_latency, int max_fanout)
 
     // SCC membership: consumers on the producer's recurrence cycle
     // must stay directly attached, or the copy latency would
-    // lengthen the cycle and raise RecMII for every machine.
-    std::vector<int> scc_of(static_cast<size_t>(ddg.numOps()), -1);
-    {
-        auto sccs = stronglyConnectedComponents(ddg);
-        for (size_t s = 0; s < sccs.size(); ++s) {
-            if (sccs[s].size() < 2)
-                continue;
-            for (OpId id : sccs[s])
-                scc_of[static_cast<size_t>(id)] =
-                    static_cast<int>(s);
-        }
-    }
+    // lengthen the cycle and raise RecMII for every machine. Only
+    // the sort below reads it, so it is computed at the first
+    // rewrite — before any mutation, so on the input graph — and
+    // a body that needs no copies skips the SCC pass.
+    std::vector<int> scc_of;
     auto on_producer_cycle = [&](OpId producer, OpId consumer) {
         if (producer == consumer)
             return true; // self-loop recurrence
@@ -39,12 +32,13 @@ singleUsePrepass(Ddg &ddg, int copy_latency, int max_fanout)
     // satisfy the bound and must not be revisited.
     const int orig_ops = ddg.numOps();
 
+    std::vector<EdgeId> uses;
     for (OpId id = 0; id < orig_ops; ++id) {
         if (!ddg.opLive(id))
             continue;
 
         // Collect live flow uses of this value.
-        std::vector<EdgeId> uses;
+        uses.clear();
         for (EdgeId e : ddg.op(id).outs) {
             if (ddg.edgeLive(e) && ddg.edge(e).kind == DepKind::Flow)
                 uses.push_back(e);
@@ -54,6 +48,17 @@ singleUsePrepass(Ddg &ddg, int copy_latency, int max_fanout)
             continue;
 
         ++stats.opsRewritten;
+        if (scc_of.empty()) {
+            scc_of.assign(static_cast<size_t>(orig_ops), -1);
+            int next = 0;
+            forEachScc(ddg, [&](const OpId *members, size_t n) {
+                if (n < 2)
+                    return;
+                for (size_t i = 0; i < n; ++i)
+                    scc_of[static_cast<size_t>(members[i])] = next;
+                ++next;
+            });
+        }
 
         // Recurrence consumers first (cycle length is sacred), then
         // tightest distance; ties broken by edge id for

@@ -8,60 +8,74 @@ namespace dms {
 
 namespace {
 
-/** Iterative Tarjan SCC (explicit stack; DDGs can be deep). */
+/**
+ * Iterative Tarjan SCC (explicit stack; DDGs can be deep). One
+ * state per forEachScc call: the per-op table and both stacks are
+ * sized once for the whole graph and shared by every DFS root.
+ */
 struct TarjanState
 {
+    struct Node
+    {
+        int index = -1;
+        int lowlink = -1;
+        bool onStack = false;
+    };
+    struct Frame
+    {
+        OpId v;
+        const EdgeId *next; ///< v's out-edges not yet walked
+        const EdgeId *end;
+    };
+
     const Ddg &ddg;
     const std::function<void(const OpId *, size_t)> &emit;
-    std::vector<int> index;
-    std::vector<int> lowlink;
-    std::vector<bool> on_stack;
+    std::vector<Node> nodes;
     std::vector<OpId> stack;
+    std::vector<Frame> frames;
     int next_index = 0;
 
     TarjanState(const Ddg &g,
                 const std::function<void(const OpId *, size_t)> &fn)
-        : ddg(g), emit(fn),
-          index(static_cast<size_t>(g.numOps()), -1),
-          lowlink(static_cast<size_t>(g.numOps()), -1),
-          on_stack(static_cast<size_t>(g.numOps()), false)
-    {}
+        : ddg(g), emit(fn), nodes(static_cast<size_t>(g.numOps()))
+    {
+        stack.reserve(nodes.size());
+        frames.reserve(nodes.size());
+    }
+
+    void
+    visit(OpId v)
+    {
+        Node &n = nodes[static_cast<size_t>(v)];
+        n.index = next_index;
+        n.lowlink = next_index;
+        n.onStack = true;
+        ++next_index;
+        stack.push_back(v);
+        const std::vector<EdgeId> &outs = ddg.op(v).outs;
+        frames.push_back({v, outs.data(), outs.data() + outs.size()});
+    }
 
     void
     run(OpId root)
     {
-        struct Frame { OpId v; size_t edge_pos; };
-        std::vector<Frame> frames;
-        frames.push_back({root, 0});
-        index[static_cast<size_t>(root)] = next_index;
-        lowlink[static_cast<size_t>(root)] = next_index;
-        ++next_index;
-        stack.push_back(root);
-        on_stack[static_cast<size_t>(root)] = true;
-
+        visit(root);
         while (!frames.empty()) {
             Frame &f = frames.back();
-            const auto &outs = ddg.op(f.v).outs;
             bool descended = false;
-            while (f.edge_pos < outs.size()) {
-                EdgeId e = outs[f.edge_pos];
-                ++f.edge_pos;
+            while (f.next != f.end) {
+                const EdgeId e = *f.next++;
                 if (!ddg.edgeActive(e))
                     continue;
                 OpId w = ddg.edge(e).dst;
-                size_t wi = static_cast<size_t>(w);
-                if (index[wi] < 0) {
-                    index[wi] = next_index;
-                    lowlink[wi] = next_index;
-                    ++next_index;
-                    stack.push_back(w);
-                    on_stack[wi] = true;
-                    frames.push_back({w, 0});
+                const Node &wn = nodes[static_cast<size_t>(w)];
+                if (wn.index < 0) {
+                    visit(w); // invalidates f
                     descended = true;
                     break;
-                } else if (on_stack[wi]) {
-                    size_t vi = static_cast<size_t>(f.v);
-                    lowlink[vi] = std::min(lowlink[vi], index[wi]);
+                } else if (wn.onStack) {
+                    Node &vn = nodes[static_cast<size_t>(f.v)];
+                    vn.lowlink = std::min(vn.lowlink, wn.index);
                 }
             }
             if (descended)
@@ -69,19 +83,19 @@ struct TarjanState
 
             // Finished v: pop frame, close SCC if root.
             OpId v = f.v;
-            size_t vi = static_cast<size_t>(v);
+            const Node &vn = nodes[static_cast<size_t>(v)];
             frames.pop_back();
             if (!frames.empty()) {
-                size_t pi = static_cast<size_t>(frames.back().v);
-                lowlink[pi] = std::min(lowlink[pi], lowlink[vi]);
+                Node &pn = nodes[static_cast<size_t>(frames.back().v)];
+                pn.lowlink = std::min(pn.lowlink, vn.lowlink);
             }
-            if (lowlink[vi] == index[vi]) {
+            if (vn.lowlink == vn.index) {
                 // Emit the SCC in place from the Tarjan stack: sort
                 // its segment, hand it to the visitor, then pop.
                 size_t base = stack.size();
                 while (true) {
                     --base;
-                    on_stack[static_cast<size_t>(stack[base])] =
+                    nodes[static_cast<size_t>(stack[base])].onStack =
                         false;
                     if (stack[base] == v)
                         break;
@@ -105,20 +119,10 @@ forEachScc(const Ddg &ddg,
     TarjanState st(ddg, fn);
     for (OpId id = 0; id < ddg.numOps(); ++id) {
         if (ddg.opLive(id) &&
-            st.index[static_cast<size_t>(id)] < 0) {
+            st.nodes[static_cast<size_t>(id)].index < 0) {
             st.run(id);
         }
     }
-}
-
-std::vector<Scc>
-stronglyConnectedComponents(const Ddg &ddg)
-{
-    std::vector<Scc> sccs;
-    forEachScc(ddg, [&](const OpId *ops, size_t n) {
-        sccs.emplace_back(ops, ops + n);
-    });
-    return sccs;
 }
 
 bool

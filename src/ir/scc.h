@@ -10,30 +10,20 @@
  */
 
 #include <functional>
-#include <vector>
 
 #include "ir/ddg.h"
 
 namespace dms {
 
-/** One strongly-connected component: the member op ids. */
-using Scc = std::vector<OpId>;
-
 /**
- * Visit every SCC in Tarjan emission order without materializing a
- * vector per component: @p fn receives the members sorted
- * ascending, valid only for the duration of the call. This is the
- * allocation-light form recMii (called once per scheduling run,
- * i.e. on the fig5 hot path) iterates.
+ * Visit every SCC over live ops and active edges (every dependence
+ * kind participates; any kind of cycle constrains the II) in Tarjan
+ * emission order, without materializing a vector per component:
+ * @p fn receives the members sorted ascending, valid only for the
+ * duration of the call. @p fn must not mutate the graph.
  */
 void forEachScc(const Ddg &ddg,
                 const std::function<void(const OpId *, size_t)> &fn);
-
-/**
- * All SCCs over live ops and active edges (every dependence kind
- * participates; any kind of cycle constrains the II).
- */
-std::vector<Scc> stronglyConnectedComponents(const Ddg &ddg);
 
 /** True if the DDG contains a dependence cycle (a recurrence). */
 bool hasRecurrence(const Ddg &ddg);

@@ -4,19 +4,23 @@
 
 namespace dms {
 
-Ddg
-unrollDdg(const Ddg &ddg, int factor)
+void
+unrollDdg(const Ddg &ddg, int factor, Ddg &out)
 {
     DMS_ASSERT(factor >= 1, "bad unroll factor %d", factor);
     DMS_ASSERT(ddg.unrollFactor() == 1, "re-unrolling a body");
+    if (factor == 1) {
+        out.resetTo(ddg);
+        return;
+    }
 
-    Ddg out;
+    out.clear();
     out.setUnrollFactor(factor);
 
-    // new id of (original op, copy j); -1 for dead originals.
-    std::vector<std::vector<OpId>> ids(
-        static_cast<size_t>(ddg.numOps()),
-        std::vector<OpId>(static_cast<size_t>(factor), kInvalidOp));
+    // New id of copy 0 of each live original op; copy j follows it
+    // at first + j. Dead originals keep kInvalidOp.
+    std::vector<OpId> first(static_cast<size_t>(ddg.numOps()),
+                            kInvalidOp);
 
     for (OpId id = 0; id < ddg.numOps(); ++id) {
         if (!ddg.opLive(id))
@@ -24,6 +28,7 @@ unrollDdg(const Ddg &ddg, int factor)
         const Operation &o = ddg.op(id);
         DMS_ASSERT(o.origin == OpOrigin::Original,
                    "unrolling a transformed body (op %d)", id);
+        first[static_cast<size_t>(id)] = out.numOps();
         for (int j = 0; j < factor; ++j) {
             OpId nid = out.addOp(o.opc, o.origin);
             Operation &n = out.op(nid);
@@ -32,7 +37,9 @@ unrollDdg(const Ddg &ddg, int factor)
             n.memStream = o.memStream;
             n.memOffset = o.memOffset;
             n.literal = o.literal;
-            ids[static_cast<size_t>(id)][static_cast<size_t>(j)] = nid;
+            // Each copy has exactly the original's degrees.
+            n.ins.reserve(o.ins.size());
+            n.outs.reserve(o.outs.size());
         }
     }
 
@@ -41,6 +48,8 @@ unrollDdg(const Ddg &ddg, int factor)
             continue;
         const Edge &ed = ddg.edge(e);
         DMS_ASSERT(!ed.replaced, "unrolling a body with chains");
+        const OpId src = first[static_cast<size_t>(ed.src)];
+        const OpId dst = first[static_cast<size_t>(ed.dst)];
         for (int j = 0; j < factor; ++j) {
             // Consumer copy j consumes from producer copy j', where
             // j' = (j - d) mod f, carried (d - j + j') / f new
@@ -48,16 +57,10 @@ unrollDdg(const Ddg &ddg, int factor)
             int jp = ((j - ed.distance) % factor + factor) % factor;
             int ndist = (ed.distance - j + jp) / factor;
             DMS_ASSERT(ndist >= 0, "negative unrolled distance");
-            OpId src =
-                ids[static_cast<size_t>(ed.src)][static_cast<size_t>(jp)];
-            OpId dst =
-                ids[static_cast<size_t>(ed.dst)][static_cast<size_t>(j)];
-            out.addEdge(src, dst, ed.kind, ndist, ed.latency,
+            out.addEdge(src + jp, dst + j, ed.kind, ndist, ed.latency,
                         ed.operandIndex);
         }
     }
-
-    return out;
 }
 
 } // namespace dms

@@ -14,7 +14,7 @@
 namespace dms {
 
 /**
- * Unroll a loop body @p factor times.
+ * Unroll a loop body @p factor times into @p out.
  *
  * Each original operation u becomes copies u#0..u#(f-1), where copy
  * j handles original iteration I*f + j of new iteration I. An edge
@@ -24,10 +24,15 @@ namespace dms {
  * @c origId and record @c iterOffset = j so the simulator can map
  * executed iterations back to original iterations.
  *
- * @pre factor >= 1 and the input body is not itself unrolled.
- * @return a fresh DDG with unrollFactor() == factor.
+ * @p out is rebuilt in place and keeps its buffers (Ddg::clear, or
+ * Ddg::resetTo for factor 1, which makes it a plain copy), so a
+ * context that unrolls loop after loop into one graph stops
+ * churning the allocator at every factor.
+ *
+ * @pre factor >= 1, the input body is not itself unrolled, and
+ * @p out is not @p ddg.
  */
-Ddg unrollDdg(const Ddg &ddg, int factor);
+void unrollDdg(const Ddg &ddg, int factor, Ddg &out);
 
 } // namespace dms
 

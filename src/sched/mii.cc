@@ -30,22 +30,23 @@ resMii(const Ddg &ddg, const MachineModel &machine)
 namespace {
 
 /**
- * True if, at the given II, the SCC contains a cycle of positive
- * weight under w(e) = latency - II * distance (i.e. II is too
- * small). Bellman-Ford longest-path relaxation limited to the SCC.
- * @p dense maps op -> index within the SCC (-1 outside); @p dist
- * is caller-owned scratch so the binary search over II does not
- * reallocate per probe.
+ * True if, at the given II, the SCC @p members[0..n) contains a
+ * cycle of positive weight under w(e) = latency - II * distance
+ * (i.e. II is too small). Bellman-Ford longest-path relaxation
+ * limited to the SCC. @p dense maps op -> index within the SCC (-1
+ * outside); @p dist is caller-owned scratch so the binary search
+ * over II does not reallocate per probe.
  */
 bool
-hasPositiveCycle(const Ddg &ddg, const Scc &scc, int ii,
-                 const std::vector<int> &dense,
+hasPositiveCycle(const Ddg &ddg, const OpId *members, size_t n,
+                 int ii, const std::vector<int> &dense,
                  std::vector<std::int64_t> &dist)
 {
-    dist.assign(scc.size(), 0);
-    for (size_t pass = 0; pass <= scc.size(); ++pass) {
+    dist.assign(n, 0);
+    for (size_t pass = 0; pass <= n; ++pass) {
         bool changed = false;
-        for (OpId u : scc) {
+        for (size_t i = 0; i < n; ++i) {
+            const OpId u = members[i];
             for (EdgeId e : ddg.op(u).outs) {
                 if (!ddg.edgeActive(e))
                     continue;
@@ -73,16 +74,15 @@ hasPositiveCycle(const Ddg &ddg, const Scc &scc, int ii,
 } // namespace
 
 int
-recMii(const Ddg &ddg)
+recurrenceBound(const Ddg &ddg)
 {
+    bool cyclic_any = false;
     int best = 1;
     std::vector<int> dense;
     std::vector<std::int64_t> dist;
-    Scc scc;
     forEachScc(ddg, [&](const OpId *members, size_t n) {
         // Trivial SCCs constrain only via self-loops.
         bool cyclic = n > 1;
-        std::int64_t lat_sum = 0;
         if (!cyclic) {
             for (EdgeId e : ddg.op(members[0]).outs) {
                 if (ddg.edgeActive(e) &&
@@ -93,10 +93,11 @@ recMii(const Ddg &ddg)
         }
         if (!cyclic)
             return;
-        scc.assign(members, members + n);
+        cyclic_any = true;
 
-        for (OpId u : scc) {
-            for (EdgeId e : ddg.op(u).outs) {
+        std::int64_t lat_sum = 0;
+        for (size_t i = 0; i < n; ++i) {
+            for (EdgeId e : ddg.op(members[i]).outs) {
                 if (ddg.edgeActive(e))
                     lat_sum += ddg.edge(e).latency;
             }
@@ -106,28 +107,35 @@ recMii(const Ddg &ddg)
         // binary search and undone per SCC (SCCs are disjoint).
         if (dense.empty())
             dense.assign(static_cast<size_t>(ddg.numOps()), -1);
-        for (size_t i = 0; i < scc.size(); ++i)
-            dense[static_cast<size_t>(scc[i])] = static_cast<int>(i);
+        for (size_t i = 0; i < n; ++i)
+            dense[static_cast<size_t>(members[i])] =
+                static_cast<int>(i);
 
         // Binary search the smallest feasible II for this SCC.
         int lo = best;
         int hi = std::max<int>(lo,
             static_cast<int>(std::min<std::int64_t>(lat_sum, 1 << 20)));
-        while (hasPositiveCycle(ddg, scc, hi, dense, dist))
+        while (hasPositiveCycle(ddg, members, n, hi, dense, dist))
             hi *= 2;
         while (lo < hi) {
             int mid = lo + (hi - lo) / 2;
-            if (hasPositiveCycle(ddg, scc, mid, dense, dist))
+            if (hasPositiveCycle(ddg, members, n, mid, dense, dist))
                 lo = mid + 1;
             else
                 hi = mid;
         }
         best = std::max(best, lo);
 
-        for (OpId u : scc)
-            dense[static_cast<size_t>(u)] = -1;
+        for (size_t i = 0; i < n; ++i)
+            dense[static_cast<size_t>(members[i])] = -1;
     });
-    return best;
+    return cyclic_any ? best : 0;
+}
+
+int
+recMii(const Ddg &ddg)
+{
+    return std::max(1, recurrenceBound(ddg));
 }
 
 int

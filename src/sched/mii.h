@@ -33,6 +33,13 @@ int resMii(const Ddg &ddg, const MachineModel &machine);
  */
 int recMii(const Ddg &ddg);
 
+/**
+ * RecMII of the recurrences alone: 0 when the DDG has no dependence
+ * cycle, recMii() otherwise. It finds both answers in one SCC pass,
+ * where `hasRecurrence(g) ? recMii(g) : 0` makes two.
+ */
+int recurrenceBound(const Ddg &ddg);
+
 /** max(resMii, recMii). */
 int minII(const Ddg &ddg, const MachineModel &machine);
 

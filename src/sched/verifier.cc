@@ -1,7 +1,6 @@
 #include "sched/verifier.h"
 
-#include <map>
-#include <tuple>
+#include <algorithm>
 
 #include "support/diag.h"
 
@@ -10,29 +9,36 @@ namespace dms {
 namespace {
 
 /**
- * True if a path of live Move ops leads from @p src to @p dst along
- * active flow edges (src and dst themselves need not be moves).
+ * True if a path of live Move ops leads from the producer of the
+ * replaced edge @p e to its consumer along active flow edges (the
+ * endpoints themselves need not be moves). @p seen (one entry per
+ * op, stamped with the edge searched for) and @p stack are scratch
+ * shared by every replaced edge of one verification.
  */
 bool
-movePathExists(const Ddg &ddg, OpId src, OpId dst)
+movePathExists(const Ddg &ddg, EdgeId e, std::vector<EdgeId> &seen,
+               std::vector<OpId> &stack)
 {
-    std::vector<OpId> stack{src};
-    std::vector<bool> seen(static_cast<size_t>(ddg.numOps()), false);
-    seen[static_cast<size_t>(src)] = true;
+    const OpId src = ddg.edge(e).src;
+    const OpId dst = ddg.edge(e).dst;
+    if (seen.empty())
+        seen.assign(static_cast<size_t>(ddg.numOps()), kInvalidEdge);
+    stack.assign(1, src);
+    seen[static_cast<size_t>(src)] = e;
     while (!stack.empty()) {
         OpId u = stack.back();
         stack.pop_back();
-        for (EdgeId e : ddg.op(u).outs) {
-            if (!ddg.edgeActive(e) ||
-                ddg.edge(e).kind != DepKind::Flow) {
+        for (EdgeId out : ddg.op(u).outs) {
+            if (!ddg.edgeActive(out) ||
+                ddg.edge(out).kind != DepKind::Flow) {
                 continue;
             }
-            OpId v = ddg.edge(e).dst;
+            OpId v = ddg.edge(out).dst;
             if (v == dst)
                 return true;
-            if (!seen[static_cast<size_t>(v)] &&
+            if (seen[static_cast<size_t>(v)] != e &&
                 ddg.op(v).origin == OpOrigin::MoveOp) {
-                seen[static_cast<size_t>(v)] = true;
+                seen[static_cast<size_t>(v)] = e;
                 stack.push_back(v);
             }
         }
@@ -53,8 +59,19 @@ verifySchedule(const Ddg &ddg, const MachineModel &machine,
     const int ii = ps.ii();
     const bool comm = opts.checkCommunication && machine.clustered();
 
-    // Placements and reservation consistency.
-    std::map<std::tuple<ClusterId, int, int, int>, OpId> slots;
+    // Placements and reservation consistency. One flat
+    // (cluster, class, instance, row) table keeps each slot's first
+    // occupant; a later op in the same slot is a collision.
+    size_t instances = 0;
+    for (int c = 0; c < kNumFuClasses; ++c)
+        instances = std::max(instances,
+                             static_cast<size_t>(machine.fusPerCluster(
+                                 static_cast<FuClass>(c))));
+    const size_t per_class = instances * static_cast<size_t>(ii);
+    const size_t per_cluster = kNumFuClasses * per_class;
+    std::vector<OpId> slots(
+        static_cast<size_t>(machine.numClusters()) * per_cluster,
+        kInvalidOp);
     for (OpId id = 0; id < ddg.numOps(); ++id) {
         if (!ddg.opLive(id))
             continue;
@@ -80,19 +97,25 @@ verifySchedule(const Ddg &ddg, const MachineModel &machine,
                             ddg.opLabel(id).c_str(), p.fuInstance));
             continue;
         }
-        auto key = std::make_tuple(p.cluster,
-                                   static_cast<int>(cls),
-                                   p.fuInstance, p.time % ii);
-        auto [it, inserted] = slots.emplace(key, id);
-        if (!inserted) {
+        const int row = p.time % ii;
+        // at() panics on a row outside [0, II), so the flat index
+        // below is in range.
+        const OpId rt_occ =
+            ps.reservations().at(p.cluster, cls, p.fuInstance, row);
+        OpId &first =
+            slots[static_cast<size_t>(p.cluster) * per_cluster +
+                  static_cast<size_t>(cls) * per_class +
+                  static_cast<size_t>(p.fuInstance) *
+                      static_cast<size_t>(ii) +
+                  static_cast<size_t>(row)];
+        if (first == kInvalidOp) {
+            first = id;
+        } else {
             complain(strfmt("%s and %s share slot (c%d,%s,%d,row%d)",
                             ddg.opLabel(id).c_str(),
-                            ddg.opLabel(it->second).c_str(), p.cluster,
-                            fuClassName(cls), p.fuInstance,
-                            p.time % ii));
+                            ddg.opLabel(first).c_str(), p.cluster,
+                            fuClassName(cls), p.fuInstance, row));
         }
-        OpId rt_occ = ps.reservations().at(p.cluster, cls,
-                                           p.fuInstance, p.time % ii);
         if (rt_occ != id) {
             complain(strfmt("reservation table holds op%d where %s "
                             "is placed", rt_occ,
@@ -124,6 +147,8 @@ verifySchedule(const Ddg &ddg, const MachineModel &machine,
         return problems;
 
     // Communication legality on queue-file machines.
+    std::vector<EdgeId> seen;
+    std::vector<OpId> stack;
     for (EdgeId e = 0; e < ddg.numEdges(); ++e) {
         if (!ddg.edgeLive(e))
             continue;
@@ -135,7 +160,7 @@ verifySchedule(const Ddg &ddg, const MachineModel &machine,
         ClusterId cs = ps.clusterOf(ed.src);
         ClusterId cd = ps.clusterOf(ed.dst);
         if (ed.replaced) {
-            if (!movePathExists(ddg, ed.src, ed.dst)) {
+            if (!movePathExists(ddg, e, seen, stack)) {
                 complain(strfmt("replaced edge %s->%s has no live "
                                 "move chain",
                                 ddg.opLabel(ed.src).c_str(),

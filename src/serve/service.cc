@@ -566,6 +566,19 @@ validateRequest(const Loop &loop, const MachineModel &machine,
         return strfmt("unrollMaxOps %d out of range [1, %d]",
                       options.unrollMaxOps, 1 << 20);
     }
+    // The policy stops before u x live ops passes unrollMaxOps; a
+    // forced factor obeys the same cap, or one short loop text
+    // could ask for a body of a million ops.
+    const std::int64_t forced_ops =
+        static_cast<std::int64_t>(options.forceUnroll) *
+        loop.ddg.liveOpCount();
+    if (options.forceUnroll > 1 && forced_ops > options.unrollMaxOps) {
+        return strfmt("forceUnroll %d x %d live ops = %lld exceeds "
+                      "unrollMaxOps %d",
+                      options.forceUnroll, loop.ddg.liveOpCount(),
+                      static_cast<long long>(forced_ops),
+                      options.unrollMaxOps);
+    }
     // resMii panics when the body uses an FU class the machine
     // has zero units of.
     const std::vector<int> counts = loop.ddg.opCountByClass();

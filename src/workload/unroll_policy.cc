@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "ir/scc.h"
 #include "ir/unroll.h"
 #include "sched/mii.h"
 #include "support/diag.h"
@@ -15,7 +14,7 @@ chooseUnrollFactor(const Ddg &ddg, const MachineModel &machine,
 {
     // recMii() floors at 1 even for acyclic bodies; only a real
     // recurrence scales with the unroll factor.
-    const int rec = hasRecurrence(ddg) ? recMii(ddg) : 0;
+    const int rec = recurrenceBound(ddg);
     const std::vector<int> counts = ddg.opCountByClass();
 
     double best_rate = 0.0;
@@ -49,21 +48,11 @@ Ddg
 applyUnrollPolicy(const Ddg &ddg, const MachineModel &machine,
                   int max_factor, int max_ops)
 {
-    int u = chooseUnrollFactor(ddg, machine, max_factor, max_ops);
-    if (u == 1)
-        return ddg;
-    return unrollDdg(ddg, u);
-}
-
-void
-applyUnrollPolicy(const Ddg &ddg, const MachineModel &machine,
-                  Ddg &out, int max_factor, int max_ops)
-{
-    int u = chooseUnrollFactor(ddg, machine, max_factor, max_ops);
-    if (u == 1)
-        out.resetTo(ddg);
-    else
-        out = unrollDdg(ddg, u);
+    Ddg out;
+    unrollDdg(ddg,
+              chooseUnrollFactor(ddg, machine, max_factor, max_ops),
+              out);
+    return out;
 }
 
 } // namespace dms

@@ -28,20 +28,12 @@ int chooseUnrollFactor(const Ddg &ddg, const MachineModel &machine,
                        int max_factor = 8, int max_ops = 512);
 
 /**
- * Unroll @p ddg per policy; returns the body to schedule (a plain
- * copy when the factor is 1).
+ * Unroll @p ddg per policy into a fresh graph (a plain copy when the
+ * factor is 1). The pipeline's unroll stage instead unrolls into its
+ * context's reused body with unrollDdg().
  */
 Ddg applyUnrollPolicy(const Ddg &ddg, const MachineModel &machine,
                       int max_factor = 8, int max_ops = 512);
-
-/**
- * Arena-reusing variant: writes the body into @p out. The common
- * factor-1 case recycles @p out's buffers via Ddg::resetTo, so a
- * sweep that compiles loop after loop stops churning the allocator.
- */
-void applyUnrollPolicy(const Ddg &ddg, const MachineModel &machine,
-                       Ddg &out, int max_factor = 8,
-                       int max_ops = 512);
 
 } // namespace dms
 

@@ -156,6 +156,48 @@ TEST(Ddg, CopySemantics)
     EXPECT_EQ(copy.op(mv).origin, OpOrigin::MoveOp);
 }
 
+TEST(Ddg, ClearPoolsSlotsThatAddOpResets)
+{
+    Ddg g = smallGraph();
+    g.op(0).memStream = 3;
+    g.op(0).literal = 7;
+    g.setUnrollFactor(2);
+    g.clear();
+    EXPECT_EQ(g.numOps(), 0);
+    EXPECT_EQ(g.numEdges(), 0);
+    EXPECT_EQ(g.liveOpCount(), 0);
+    EXPECT_EQ(g.unrollFactor(), 1);
+
+    // The reused slot starts from the defaults, adjacency emptied.
+    OpId mv = g.addOp(Opcode::Move, OpOrigin::MoveOp);
+    EXPECT_EQ(mv, 0);
+    const Operation &o = g.op(mv);
+    EXPECT_EQ(o.opc, Opcode::Move);
+    EXPECT_EQ(o.origin, OpOrigin::MoveOp);
+    EXPECT_EQ(o.origId, kInvalidOp);
+    EXPECT_EQ(o.memStream, -1);
+    EXPECT_EQ(o.literal, 0);
+    EXPECT_FALSE(o.dead);
+    EXPECT_TRUE(o.ins.empty());
+    EXPECT_TRUE(o.outs.empty());
+
+    // Copies see the live op only, never the pooled slots.
+    Ddg copy = g;
+    EXPECT_EQ(copy.numOps(), 1);
+    copy = smallGraph();
+    EXPECT_EQ(copy.numOps(), 3);
+    copy = g;
+    EXPECT_EQ(copy.numOps(), 1);
+    EXPECT_EQ(copy.op(0).opc, Opcode::Move);
+    EXPECT_TRUE(copy.op(0).outs.empty());
+
+    // A move leaves the source an empty graph.
+    Ddg moved = std::move(copy);
+    EXPECT_EQ(moved.numOps(), 1);
+    EXPECT_EQ(copy.numOps(), 0); // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(copy.liveOpCount(), 0);
+}
+
 TEST(Ddg, UsefulCountExcludesCopyAndMove)
 {
     Ddg g = smallGraph();

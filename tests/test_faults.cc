@@ -659,6 +659,51 @@ TEST(Validate, PanicReachableRequestsRejectedStructured)
     expectMetricsConsistent(service, "validate");
 }
 
+TEST(Validate, ForcedUnrollRespectsUnrollMaxOps)
+{
+    ServeOptions so;
+    so.workers = 1;
+    CompileService service(so);
+
+    // A 1000-op dependence chain: load, 998 adds, store.
+    LoopBuilder b;
+    OpId v = b.load(0);
+    for (int i = 0; i < 998; ++i)
+        v = b.add1(v);
+    b.store(1, v);
+    Loop chain;
+    chain.name = "chain1000";
+    chain.ddg = b.take();
+    ASSERT_EQ(chain.ddg.liveOpCount(), 1000);
+
+    PipelineOptions po;
+    po.scheduler = "dms";
+    po.forceUnroll = 1024;
+    const MachineModel ring = MachineModel::clusteredRing(4);
+    CompileService::ResultPtr r =
+        service.compile(makeRequest(chain, ring, po));
+    EXPECT_EQ(r->status, CompileStatus::Invalid);
+    EXPECT_NE(r->error.find("forceUnroll 1024 x 1000 live ops = "
+                            "1024000 exceeds unrollMaxOps 512"),
+              std::string::npos)
+        << r->error;
+
+    // Under a cap that admits the forced body, it compiles.
+    po.forceUnroll = 2;
+    po.unrollMaxOps = 2000;
+    r = service.compile(makeRequest(chain, ring, po));
+    EXPECT_EQ(r->status, CompileStatus::Ok) << r->error;
+
+    // A forced factor on a small body stays within the default cap.
+    CompileRequest daxpy = kernelRequest("daxpy");
+    daxpy.options.forceUnroll = 8;
+    r = service.compile(daxpy);
+    EXPECT_EQ(r->status, CompileStatus::Ok) << r->error;
+
+    EXPECT_EQ(counter(service, "serve.invalid"), 1u);
+    expectMetricsConsistent(service, "forced-unroll");
+}
+
 // --- cache eviction/retirement accounting ------------------------------
 
 /**

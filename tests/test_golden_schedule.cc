@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "core/dms.h"
+#include "core/pipeline.h"
 #include "ir/prepass.h"
 #include "machine/desc.h"
 #include "sched/ims.h"
@@ -66,6 +67,43 @@ mixSchedule(Fnv &fnv, const Ddg &ddg, const SchedOutcome &out)
         fnv.mix(static_cast<std::uint64_t>(p.time));
         fnv.mix(static_cast<std::uint64_t>(p.cluster));
         fnv.mix(static_cast<std::uint64_t>(p.fuInstance));
+    }
+}
+
+/** Mix the whole body graph: every op and edge field, in id order. */
+void
+mixBody(Fnv &fnv, const Ddg &g)
+{
+    fnv.mix(static_cast<std::uint64_t>(g.unrollFactor()));
+    fnv.mix(static_cast<std::uint64_t>(g.numOps()));
+    fnv.mix(static_cast<std::uint64_t>(g.numEdges()));
+    fnv.mix(static_cast<std::uint64_t>(g.liveOpCount()));
+    for (OpId id = 0; id < g.numOps(); ++id) {
+        const Operation &o = g.op(id);
+        fnv.mix(static_cast<std::uint64_t>(o.opc));
+        fnv.mix(static_cast<std::uint64_t>(o.origin));
+        fnv.mix(o.dead ? 1 : 0);
+        fnv.mix(static_cast<std::uint64_t>(o.origId));
+        fnv.mix(static_cast<std::uint64_t>(o.iterOffset));
+        fnv.mix(static_cast<std::uint64_t>(o.memStream));
+        fnv.mix(static_cast<std::uint64_t>(o.memOffset));
+        fnv.mix(static_cast<std::uint64_t>(o.literal));
+        fnv.mix(o.ins.size());
+        for (EdgeId e : o.ins)
+            fnv.mix(static_cast<std::uint64_t>(e));
+        fnv.mix(o.outs.size());
+        for (EdgeId e : o.outs)
+            fnv.mix(static_cast<std::uint64_t>(e));
+    }
+    for (EdgeId e = 0; e < g.numEdges(); ++e) {
+        const Edge &ed = g.edge(e);
+        fnv.mix(static_cast<std::uint64_t>(ed.src));
+        fnv.mix(static_cast<std::uint64_t>(ed.dst));
+        fnv.mix(static_cast<std::uint64_t>(ed.kind));
+        fnv.mix(static_cast<std::uint64_t>(ed.distance));
+        fnv.mix(static_cast<std::uint64_t>(ed.latency));
+        fnv.mix(static_cast<std::uint64_t>(ed.operandIndex));
+        fnv.mix((ed.dead ? 1u : 0u) | (ed.replaced ? 2u : 0u));
     }
 }
 
@@ -149,4 +187,51 @@ TEST(GoldenSchedule, ImsPlacementsUnchanged)
     }
     EXPECT_EQ(fnv.value(), 0x02bcf559ea65ca60ULL)
         << "IMS golden hash changed: 0x" << std::hex << fnv.value();
+}
+
+TEST(GoldenSchedule, PipelineBodiesUnchanged)
+{
+    // One context for every cell, as a runMatrix worker reuses it:
+    // whatever body the previous cell left behind, the unroll and
+    // prepass stages must build the same graph into ctx.body.
+    PipelineOptions ims_opts;
+    ims_opts.scheduler = "ims";
+    ims_opts.regalloc = true;
+    PipelineOptions dms_opts;
+    dms_opts.scheduler = "dms";
+    dms_opts.regalloc = true;
+    PipelineOptions forced_opts = dms_opts;
+    forced_opts.forceUnroll = 3;
+    const Pipeline ims(ims_opts);
+    const Pipeline dms(dms_opts);
+    const Pipeline forced(forced_opts);
+
+    const std::vector<Loop> suite = goldenSuite();
+    CompilationContext ctx;
+    Fnv fnv;
+    for (int c = 1; c <= 10; ++c) {
+        const MachineModel flat = MachineModel::unclustered(c);
+        const MachineModel ring = MachineModel::clusteredRing(c);
+        for (const Loop &loop : suite) {
+            const auto cell = [&](const Pipeline &pipeline,
+                                  const MachineModel &machine) {
+                pipeline.run(loop, machine, ctx);
+                fnv.mix(static_cast<std::uint64_t>(c));
+                mixBody(fnv, ctx.body);
+                fnv.mix(static_cast<std::uint64_t>(
+                    ctx.prepass.copiesInserted));
+                fnv.mix(static_cast<std::uint64_t>(
+                    ctx.prepass.opsRewritten));
+                fnv.mix(static_cast<std::uint64_t>(ctx.resMii));
+                fnv.mix(static_cast<std::uint64_t>(ctx.recMii));
+            };
+            cell(ims, flat);
+            cell(dms, ring);
+            if (c == 4)
+                cell(forced, ring);
+        }
+    }
+    EXPECT_EQ(fnv.value(), 0x61e1edcda8b46578ULL)
+        << "pipeline body hash changed: 0x" << std::hex
+        << fnv.value();
 }

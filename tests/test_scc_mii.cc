@@ -10,6 +10,7 @@
 #include "machine/machine.h"
 #include "sched/mii.h"
 #include "workload/kernels.h"
+#include "workload/suite.h"
 
 namespace dms {
 namespace {
@@ -21,10 +22,9 @@ TEST(Scc, AcyclicGraphHasTrivialSccs)
     OpId y = b.mul1(x);
     b.store(1, y);
     Ddg g = b.take();
-    auto sccs = stronglyConnectedComponents(g);
-    EXPECT_EQ(sccs.size(), 3u);
-    for (const auto &scc : sccs)
-        EXPECT_EQ(scc.size(), 1u);
+    std::vector<size_t> sizes;
+    forEachScc(g, [&](const OpId *, size_t n) { sizes.push_back(n); });
+    EXPECT_EQ(sizes, std::vector<size_t>(3, 1));
     EXPECT_FALSE(hasRecurrence(g));
 }
 
@@ -48,11 +48,12 @@ TEST(Scc, TwoOpCycleDetected)
     b.flow(m, a, 1, 1);
     b.store(1, m);
     Ddg g = b.take();
-    auto sccs = stronglyConnectedComponents(g);
-    size_t big = 0;
-    for (const auto &scc : sccs)
-        big = std::max(big, scc.size());
-    EXPECT_EQ(big, 2u);
+    std::vector<OpId> big;
+    forEachScc(g, [&](const OpId *members, size_t n) {
+        if (n > big.size())
+            big.assign(members, members + n);
+    });
+    EXPECT_EQ(big, (std::vector<OpId>{a, m}));
     EXPECT_TRUE(hasRecurrence(g));
 }
 
@@ -178,6 +179,42 @@ TEST(RecMii, MemoryEdgeCyclesCount)
     b.memDep(st, ld, 1, 1);
     Ddg g = b.take();
     EXPECT_EQ(recMii(g), 4);
+}
+
+TEST(RecMii, RecurrenceBoundMatchesTwoPassForm)
+{
+    const auto two_pass = [](const Ddg &g) {
+        return hasRecurrence(g) ? recMii(g) : 0;
+    };
+    for (const Loop &loop : standardSuite())
+        EXPECT_EQ(recurrenceBound(loop.ddg), two_pass(loop.ddg))
+            << loop.name;
+    for (const Loop &k : namedKernels())
+        EXPECT_EQ(recurrenceBound(k.ddg), two_pass(k.ddg)) << k.name;
+
+    LoopBuilder self;
+    OpId x = self.load(0);
+    OpId acc = self.add1(x);
+    self.flow(acc, acc, 1, 1);
+    self.store(1, acc);
+    Ddg self_loop = self.take();
+    EXPECT_EQ(recurrenceBound(self_loop), 1);
+    EXPECT_EQ(recurrenceBound(self_loop), two_pass(self_loop));
+
+    // A cycle of zero-latency memory edges still counts as a
+    // recurrence: RecMII floors at 1, not 0.
+    LoopBuilder zero;
+    OpId l0 = zero.load(0);
+    OpId l1 = zero.load(1);
+    zero.memDep(l0, l1, 0, 0);
+    zero.memDep(l1, l0, 1, 0);
+    Ddg zero_cycle = zero.take();
+    EXPECT_EQ(recurrenceBound(zero_cycle), 1);
+    EXPECT_EQ(recurrenceBound(zero_cycle), two_pass(zero_cycle));
+
+    const Ddg acyclic = kernelDaxpy().ddg;
+    EXPECT_EQ(recurrenceBound(acyclic), 0);
+    EXPECT_EQ(recurrenceBound(acyclic), two_pass(acyclic));
 }
 
 TEST(MinII, MaxOfBounds)

@@ -149,7 +149,8 @@ INSTANTIATE_TEST_SUITE_P(Clusters, SimulateDms,
 TEST(Simulate, UnrolledScheduleMatchesOriginalReference)
 {
     for (const Loop &k : namedKernels()) {
-        Ddg unrolled = unrollDdg(k.ddg, 2);
+        Ddg unrolled;
+        unrollDdg(k.ddg, 2, unrolled);
         MachineModel m = MachineModel::clusteredRing(4);
         singleUsePrepass(unrolled, m.latencyOf(Opcode::Copy));
         DmsOutcome out = scheduleDms(unrolled, m);

@@ -20,7 +20,8 @@ namespace {
 TEST(Unroll, FactorOneIsIdentityShape)
 {
     Loop k = kernelDaxpy();
-    Ddg u = unrollDdg(k.ddg, 1);
+    Ddg u;
+    unrollDdg(k.ddg, 1, u);
     EXPECT_EQ(u.liveOpCount(), k.ddg.liveOpCount());
     EXPECT_EQ(u.unrollFactor(), 1);
 }
@@ -28,7 +29,8 @@ TEST(Unroll, FactorOneIsIdentityShape)
 TEST(Unroll, CopiesOpsAndEdges)
 {
     Loop k = kernelDaxpy();
-    Ddg u = unrollDdg(k.ddg, 3);
+    Ddg u;
+    unrollDdg(k.ddg, 3, u);
     EXPECT_EQ(u.liveOpCount(), 3 * k.ddg.liveOpCount());
     EXPECT_EQ(u.unrollFactor(), 3);
     EXPECT_TRUE(verifyDdg(u).empty());
@@ -37,7 +39,8 @@ TEST(Unroll, CopiesOpsAndEdges)
 TEST(Unroll, RecordsOriginalIdentity)
 {
     Loop k = kernelDaxpy();
-    Ddg u = unrollDdg(k.ddg, 2);
+    Ddg u;
+    unrollDdg(k.ddg, 2, u);
     int offsets[2] = {0, 0};
     for (OpId id = 0; id < u.numOps(); ++id) {
         ASSERT_GE(u.op(id).origId, 0);
@@ -53,7 +56,8 @@ TEST(Unroll, DistanceOneRecurrenceRewiring)
     // acc self-loop d=1, unroll 2: copy1 <- copy0 (d=0),
     // copy0 <- copy1 (d=1).
     Loop k = kernelDotProduct();
-    Ddg u = unrollDdg(k.ddg, 2);
+    Ddg u;
+    unrollDdg(k.ddg, 2, u);
     int d0 = 0;
     int d1 = 0;
     for (EdgeId e = 0; e < u.numEdges(); ++e) {
@@ -77,7 +81,8 @@ TEST(Unroll, RecMiiScalesWithFactor)
 {
     Loop k = kernelHorner(); // RecMII 3
     for (int f : {2, 3, 4}) {
-        Ddg u = unrollDdg(k.ddg, f);
+        Ddg u;
+        unrollDdg(k.ddg, f, u);
         EXPECT_EQ(recMii(u), 3 * f) << "factor " << f;
     }
 }
@@ -91,7 +96,8 @@ TEST(Unroll, DistanceTwoSplitsAcrossCopies)
     b.flow(a, a, 1, 2);
     b.store(1, a);
     Ddg g = b.take();
-    Ddg u = unrollDdg(g, 2);
+    Ddg u;
+    unrollDdg(g, 2, u);
     int self_d1 = 0;
     for (EdgeId e = 0; e < u.numEdges(); ++e) {
         const Edge &ed = u.edge(e);
@@ -113,7 +119,8 @@ TEST_P(UnrollSemantics, PreservesStoredValues)
         long orig_iters = 24; // divisible by 2,3,4,6,8
         StoreLog ref = referenceExecute(k.ddg, orig_iters);
 
-        Ddg u = unrollDdg(k.ddg, factor);
+        Ddg u;
+        unrollDdg(k.ddg, factor, u);
         StoreLog unrolled =
             referenceExecute(u, orig_iters / factor);
 

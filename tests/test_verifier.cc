@@ -197,6 +197,23 @@ TEST(Verifier, ChecksReservationAgreement)
     EXPECT_TRUE(verifySchedule(f.ddg, f.machine, ps).empty());
 }
 
+TEST(Verifier, FlagsSharedSlot)
+{
+    // Retyping the placed add as a load moves it into the L/S class
+    // at row 0 of c0, the slot the real load already holds.
+    Fixture f;
+    PartialSchedule ps(f.ddg, f.machine, 2);
+    ASSERT_TRUE(ps.tryPlace(f.ld, 0, 0));
+    ASSERT_TRUE(ps.tryPlace(f.ad, 2, 0));
+    ASSERT_TRUE(ps.tryPlace(f.st, 3, 0));
+    f.ddg.op(f.ad).opc = Opcode::Load;
+    auto problems = verifySchedule(f.ddg, f.machine, ps);
+    EXPECT_TRUE(mentions(problems,
+                         "op1:load and op0:load share slot "
+                         "(c0,LS,0,row0)"));
+    EXPECT_TRUE(mentions(problems, "reservation table holds"));
+}
+
 TEST(Verifier, CheckScheduleDiesOnIllegal)
 {
     Fixture f;
