@@ -14,7 +14,7 @@
 #include "eval/report.h"
 #include "eval/runner.h"
 #include "support/diag.h"
-#include "support/thread_pool.h"
+#include "support/strings.h"
 
 namespace {
 
@@ -40,7 +40,7 @@ main()
 {
     using namespace dms;
     int count = suiteCountFromEnv(1258);
-    int jobs = ThreadPool::jobsFromEnv(8);
+    int jobs = envInt("DMS_JOBS", 8);
     std::printf("matrix_speedup: %d loops, jobs=1 vs jobs=%d\n",
                 count, jobs);
 

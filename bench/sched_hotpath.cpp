@@ -83,21 +83,6 @@ struct Throughput
     }
 };
 
-int
-repsFromEnv(int fallback)
-{
-    const char *s = std::getenv("DMS_HOTPATH_REPS");
-    if (s == nullptr)
-        return fallback;
-    int v = 0;
-    if (!parseInt(s, v) || v <= 0) {
-        warn("DMS_HOTPATH_REPS='%s' is not a positive integer; "
-             "using %d", s, fallback);
-        return fallback;
-    }
-    return v;
-}
-
 Throughput
 timeReps(const std::vector<Prepared> &work, int reps)
 {
@@ -399,7 +384,7 @@ main()
 {
     using namespace dms;
     const int count = suiteCountFromEnv(200);
-    const int reps = repsFromEnv(3);
+    const int reps = envInt("DMS_HOTPATH_REPS", 3);
 
     // Read the baseline before anything writes the output file —
     // CI points DMS_HOTPATH_BASELINE at the checked-in JSON, which

@@ -33,6 +33,7 @@
 #include "codegen/emit.h"
 #include "core/pipeline.h"
 #include "ir/dot.h"
+#include "ir/scc.h"
 #include "machine/desc.h"
 #include "regalloc/sharing.h"
 #include "sim/exec.h"
@@ -114,7 +115,7 @@ main(int argc, char **argv)
     std::printf("loop '%s': %d ops, trip %ld%s\n",
                 loop.name.c_str(), loop.ddg.liveOpCount(),
                 loop.tripCount,
-                loop.recurrence ? ", has recurrence" : "");
+                hasRecurrence(loop.ddg) ? ", has recurrence" : "");
 
     MachineModel machine =
         !machine_file.empty()

@@ -114,7 +114,7 @@ runMatrixReported(const std::string &bench,
     // (and any warning printed) a single time.
     RunnerOptions resolved = opts;
     if (resolved.jobs <= 0)
-        resolved.jobs = ThreadPool::defaultJobs();
+        resolved.jobs = defaultJobs();
 
     auto t0 = std::chrono::steady_clock::now();
     std::vector<ConfigRun> matrix = runMatrix(suite, resolved);

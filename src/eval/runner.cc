@@ -1,7 +1,7 @@
 #include "eval/runner.h"
 
+#include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <memory>
 
 #include "machine/desc.h"
@@ -175,15 +175,17 @@ runMatrix(const std::vector<Loop> &suite, const RunnerOptions &opts)
     // Cell index space: (config, loop, machine), machine-major last
     // so the two runs of one loop land near each other in time.
     const size_t cells = configs * loops * 2;
-    ThreadPool pool(opts.jobs);
+    const int jobs = static_cast<int>(std::min(
+        cells, static_cast<size_t>(opts.jobs > 0 ? opts.jobs
+                                                 : defaultJobs())));
 
     // One compilation context per worker slot: each context's body
     // graph and scheduler arenas are reused across all the cells
     // that worker executes, with no locking.
     std::vector<CompilationContext> contexts(
-        static_cast<size_t>(pool.jobs()));
+        static_cast<size_t>(jobs));
 
-    pool.parallelForWorker(cells, [&](size_t cell, int worker) {
+    parallelForWorker(cells, jobs, [&](size_t cell, int worker) {
         const size_t ci = cell / (loops * 2);
         const size_t rest = cell % (loops * 2);
         const size_t li = rest / 2;
@@ -203,7 +205,7 @@ runMatrix(const std::vector<Loop> &suite, const RunnerOptions &opts)
         if (opts.progress &&
             remaining[ci].fetch_sub(1) == 1) {
             inform("runMatrix: %d cluster(s) done (%zu loops, "
-                   "%d jobs)", c, loops, pool.jobs());
+                   "%d jobs)", c, loops, jobs);
         }
     });
     return matrix;
@@ -212,16 +214,7 @@ runMatrix(const std::vector<Loop> &suite, const RunnerOptions &opts)
 int
 suiteCountFromEnv(int fallback)
 {
-    const char *s = std::getenv("DMS_SUITE_COUNT");
-    if (s == nullptr)
-        return fallback;
-    int v = 0;
-    if (!parseInt(s, v) || v <= 0) {
-        warn("DMS_SUITE_COUNT='%s' is not a positive integer; "
-             "using %d", s, fallback);
-        return fallback;
-    }
-    return v;
+    return envInt("DMS_SUITE_COUNT", fallback);
 }
 
 } // namespace dms

@@ -171,8 +171,11 @@ struct RunnerOptions
      * machine) cell is an independent scheduling problem, so the
      * matrix parallelizes cell-wise with results written to
      * pre-sized slots — output is deterministic and identical to
-     * the serial order regardless of jobs. 0 means "DMS_JOBS env
-     * var, else hardware concurrency"; 1 forces the serial path.
+     * the serial order regardless of jobs. 0 means defaultJobs()
+     * (DMS_JOBS, else hardware concurrency), resolved once per
+     * runMatrix; 1 runs every cell inline on the caller. A matrix
+     * never gets more threads, or compilation contexts, than it
+     * has cells.
      */
     int jobs = 0;
 };
@@ -204,9 +207,10 @@ std::vector<ConfigRun> runMatrix(const std::vector<Loop> &suite,
 
 /**
  * Suite size override for quick runs: reads the DMS_SUITE_COUNT
- * environment variable (defaults to @p fallback). Values that are
- * not a positive integer — garbage, trailing junk like "12x", or
- * numbers that overflow int — are rejected with a warning.
+ * environment variable through envInt (defaults to @p fallback).
+ * Values that are not a positive integer — garbage, trailing junk
+ * like "12x", or numbers that overflow int — are rejected with a
+ * warning.
  */
 int suiteCountFromEnv(int fallback = 1258);
 

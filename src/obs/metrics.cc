@@ -122,10 +122,8 @@ struct MetricsRegistry::Impl
      */
     mutable std::mutex mu;
     std::deque<std::pair<std::string, Counter>> counters;
-    std::deque<std::pair<std::string, Gauge>> gauges;
     std::deque<std::pair<std::string, LatencyHistogram>> histograms;
     std::unordered_map<std::string, Counter *> counterByName;
-    std::unordered_map<std::string, Gauge *> gaugeByName;
     std::unordered_map<std::string, LatencyHistogram *> histByName;
 };
 
@@ -145,21 +143,6 @@ MetricsRegistry::counter(const std::string &name)
                                  std::forward_as_tuple());
     Counter *cell = &impl_->counters.back().second;
     impl_->counterByName.emplace(name, cell);
-    return *cell;
-}
-
-Gauge &
-MetricsRegistry::gauge(const std::string &name)
-{
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    auto it = impl_->gaugeByName.find(name);
-    if (it != impl_->gaugeByName.end())
-        return *it->second;
-    impl_->gauges.emplace_back(std::piecewise_construct,
-                               std::forward_as_tuple(name),
-                               std::forward_as_tuple());
-    Gauge *cell = &impl_->gauges.back().second;
-    impl_->gaugeByName.emplace(name, cell);
     return *cell;
 }
 
@@ -191,8 +174,6 @@ MetricsRegistry::snapshot() const
         snap.addHistogram(h.first, h.second.snapshot());
     for (const auto &c : impl_->counters)
         snap.addCounter(c.first, c.second.value());
-    for (const auto &g : impl_->gauges)
-        snap.addGauge(g.first, g.second.value());
     snap.sortByName();
     return snap;
 }

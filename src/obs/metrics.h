@@ -3,17 +3,18 @@
 
 /**
  * @file
- * The metrics registry: named counters, gauges and latency
- * histograms behind one canonical text format ("dmsmetrics v1") —
- * the serving tier's one telemetry format, served by the `metrics`
- * wire verb and written by `dmsd --metrics-out`.
+ * The metrics registry: named counters and latency histograms
+ * behind one canonical text format ("dmsmetrics v1") — the serving
+ * tier's one telemetry format, served by the `metrics` wire verb
+ * and written by `dmsd --metrics-out`. Gauges are not live cells:
+ * a snapshot's owner derives them when it is taken (addGauge).
  *
  * Cells are registered once (service construction, single-
  * threaded) and then touched lock-free: a Counter::inc is one
- * relaxed fetch_add, a Gauge::set one relaxed store, a histogram
- * record one wait-free LatencyHistogram::record. The registry
- * mutex only guards registration and snapshotting, never a hot
- * increment — hot paths hold direct references to their cells.
+ * relaxed fetch_add, a histogram record one wait-free
+ * LatencyHistogram::record. The registry mutex only guards
+ * registration and snapshotting, never a hot increment — hot paths
+ * hold direct references to their cells.
  *
  * Text format (strict parse, versioned header, "line N:" errors):
  *
@@ -62,26 +63,6 @@ class Counter
 
   private:
     std::atomic<std::uint64_t> value_{0};
-};
-
-/** Point-in-time level; set() is one relaxed store. */
-class Gauge
-{
-  public:
-    void
-    set(double v)
-    {
-        value_.store(v, std::memory_order_relaxed);
-    }
-
-    double
-    value() const
-    {
-        return value_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<double> value_{0.0};
 };
 
 /** Plain-data copy of every registered cell, sorted by name. */
@@ -137,7 +118,6 @@ class MetricsRegistry
     MetricsRegistry &operator=(const MetricsRegistry &) = delete;
 
     Counter &counter(const std::string &name);
-    Gauge &gauge(const std::string &name);
     LatencyHistogram &histogram(const std::string &name);
 
     /** Relaxed sweep of every cell, sorted by name. */

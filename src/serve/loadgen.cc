@@ -10,6 +10,7 @@
 #include "serve/net.h"
 #include "support/diag.h"
 #include "support/strings.h"
+#include "support/thread_pool.h"
 #include "workload/suite.h"
 #include "workload/text.h"
 
@@ -106,99 +107,111 @@ RetryPolicy::delayMs(int attempt, Rng &rng) const
     return static_cast<int>(base * (0.5 + rng.uniform() * 0.5));
 }
 
-CompileService::ResultPtr
-compileWithRetry(CompileService &service, CompileRequest request,
-                 const RetryPolicy &policy, Rng &rng, int *retries)
+namespace {
+
+/**
+ * The one client-side retry loop: @p tryOnce() makes one attempt
+ * and returns its status; retryable statuses are retried with
+ * backoff until the policy's attempt budget runs out. Returns the
+ * last status; @p retries counts the extra attempts.
+ */
+template <class TryOnce>
+CompileStatus
+retryLoop(const RetryPolicy &policy, Rng &rng, int &retries,
+          TryOnce &&tryOnce)
 {
-    request.deadlineMs = policy.deadlineMs;
-    CompileService::ResultPtr result;
     for (int attempt = 0;; ++attempt) {
-        result = service.compile(request, policy.submitWaitMs);
+        const CompileStatus status = tryOnce();
         if (attempt + 1 >= std::max(policy.maxAttempts, 1) ||
-            !policy.shouldRetry(result->status))
-            return result;
-        if (retries != nullptr)
-            ++*retries;
+            !policy.shouldRetry(status))
+            return status;
+        ++retries;
         std::this_thread::sleep_for(std::chrono::milliseconds(
             policy.delayMs(attempt, rng)));
     }
 }
 
-namespace {
-
 /**
- * One client thread's tallies. Each client records into its own
- * histogram, so warm-phase clients never contend on shared
- * atomics; the tallies are folded after the join.
+ * One load-generator client: its rng, its connection (network
+ * transport only) and its tallies. Each slot sits on cache lines of
+ * its own, so clients never write a line another client is using;
+ * the slots are folded after the join.
  */
-struct ClientTally
+struct alignas(64) ClientSlot
 {
+    Rng rng{0};
+    NetClient net;
     obs::LatencyHistogram latency;
     int retries = 0;
-    int failures = 0;
     int byStatus[kCompileStatusCount] = {};
-
-    void
-    add(const CompileResult &result,
-        std::chrono::steady_clock::time_point r0)
-    {
-        latency.record(std::chrono::duration<double, std::milli>(
-                           std::chrono::steady_clock::now() - r0)
-                           .count());
-        ++byStatus[static_cast<size_t>(result.status)];
-        if (!result.parsed || !result.ok)
-            ++failures;
-    }
 };
 
-/** The standard serving request for one loop text. */
-CompileRequest
-hammerRequest(std::string loopText, const std::string &machineText,
-              const std::string &scheduler)
+/** max(@p clients, 1) slots, slot t's rng seeded seed + t * 104729. */
+std::vector<ClientSlot>
+clientSlots(int clients, std::uint64_t seed)
 {
-    CompileRequest req;
-    req.loopText = std::move(loopText);
-    req.machineText = machineText;
-    req.options.scheduler = scheduler;
-    req.options.regalloc = true;
-    return req;
+    std::vector<ClientSlot> slots(
+        static_cast<size_t>(std::max(clients, 1)));
+    for (size_t t = 0; t < slots.size(); ++t)
+        slots[t].rng = Rng(seed + t * 104729);
+    return slots;
 }
 
 /**
- * Run @p client(rng, tally) on max(@p clients, 1) threads, each
- * with its own rng (seeded from @p seed) and tally, and fold the
- * tallies into one result for @p total requests.
+ * The hammer behind both transports: one thread per slot pulls
+ * request numbers below @p total from a shared counter, builds the
+ * standard serving request (@p scheduler, regalloc, the policy's
+ * deadline) around makeLoop(i, rng), and runs it through the retry
+ * loop, each attempt being @p tryOnce(slot, request). Latency is
+ * timed client-side around the whole retry loop.
  */
+template <class TryOnce>
 HammerResult
-runClients(int total, int clients, std::uint64_t seed,
-           const std::function<void(Rng &, ClientTally &)> &client)
+hammer(std::vector<ClientSlot> &slots, int total,
+       const std::string &machineText, const std::string &scheduler,
+       const std::function<std::string(int, Rng &)> &makeLoop,
+       const RetryPolicy &policy, TryOnce &&tryOnce)
 {
-    const int n = std::max(clients, 1);
-    std::vector<ClientTally> tallies(static_cast<size_t>(n));
-    auto t0 = std::chrono::steady_clock::now();
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(n));
-    for (int t = 0; t < n; ++t) {
-        threads.emplace_back([&, t] {
-            Rng rng(seed + static_cast<std::uint64_t>(t) * 104729);
-            client(rng, tallies[static_cast<size_t>(t)]);
+    using Clock = std::chrono::steady_clock;
+    std::atomic<int> dispatched{0};
+    const auto t0 = Clock::now();
+    parallelForWorker(
+        slots.size(), static_cast<int>(slots.size()),
+        [&](size_t t, int) {
+            ClientSlot &slot = slots[t];
+            for (int i = dispatched.fetch_add(1); i < total;
+                 i = dispatched.fetch_add(1)) {
+                CompileRequest req;
+                req.loopText = makeLoop(i, slot.rng);
+                req.machineText = machineText;
+                req.options.scheduler = scheduler;
+                req.options.regalloc = true;
+                req.deadlineMs = policy.deadlineMs;
+                const auto r0 = Clock::now();
+                const CompileStatus status =
+                    retryLoop(policy, slot.rng, slot.retries,
+                              [&] { return tryOnce(slot, req); });
+                slot.latency.record(
+                    std::chrono::duration<double, std::milli>(
+                        Clock::now() - r0)
+                        .count());
+                ++slot.byStatus[static_cast<size_t>(status)];
+            }
         });
-    }
-    for (std::thread &t : threads)
-        t.join();
 
     HammerResult out;
     out.requests = total;
-    out.seconds = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
+    out.seconds =
+        std::chrono::duration<double>(Clock::now() - t0).count();
     obs::HistogramSnapshot latency;
-    for (const ClientTally &tally : tallies) {
-        out.failures += tally.failures;
-        out.retries += tally.retries;
-        for (size_t s = 0; s < kCompileStatusCount; ++s)
-            out.byStatus[s] += tally.byStatus[s];
-        latency.merge(tally.latency.snapshot());
+    for (const ClientSlot &slot : slots) {
+        out.retries += slot.retries;
+        for (size_t s = 0; s < kCompileStatusCount; ++s) {
+            out.byStatus[s] += slot.byStatus[s];
+            if (s != static_cast<size_t>(CompileStatus::Ok))
+                out.failures += slot.byStatus[s];
+        }
+        latency.merge(slot.latency.snapshot());
     }
     out.p50Ms = latency.percentile(50);
     out.p90Ms = latency.percentile(90);
@@ -208,6 +221,21 @@ runClients(int total, int clients, std::uint64_t seed,
 
 } // namespace
 
+CompileService::ResultPtr
+compileWithRetry(CompileService &service, CompileRequest request,
+                 const RetryPolicy &policy, Rng &rng, int *retries)
+{
+    request.deadlineMs = policy.deadlineMs;
+    CompileService::ResultPtr result;
+    int uncounted = 0;
+    retryLoop(policy, rng, retries != nullptr ? *retries : uncounted,
+              [&] {
+        result = service.compile(request, policy.submitWaitMs);
+        return result->status;
+    });
+    return result;
+}
+
 HammerResult
 hammerService(
     CompileService &service, int total, int clients,
@@ -216,20 +244,14 @@ hammerService(
     const std::function<std::string(int, Rng &)> &makeLoop,
     const RetryPolicy &policy)
 {
-    std::atomic<int> dispatched{0};
-    return runClients(total, clients, seed, [&](Rng &rng,
-                                                ClientTally &tally) {
-        for (int i = dispatched.fetch_add(1); i < total;
-             i = dispatched.fetch_add(1)) {
-            CompileRequest req = hammerRequest(
-                makeLoop(i, rng), machineText, scheduler);
-            auto r0 = std::chrono::steady_clock::now();
-            CompileService::ResultPtr result = compileWithRetry(
-                service, std::move(req), policy, rng,
-                &tally.retries);
-            tally.add(*result, r0);
-        }
-    });
+    std::vector<ClientSlot> slots = clientSlots(clients, seed);
+    return hammer(slots, total, machineText, scheduler, makeLoop,
+                  policy,
+                  [&](ClientSlot &, const CompileRequest &req) {
+                      return service
+                          .compile(req, policy.submitWaitMs)
+                          ->status;
+                  });
 }
 
 HammerResult
@@ -240,45 +262,25 @@ hammerNetwork(
     const std::function<std::string(int, Rng &)> &makeLoop,
     const RetryPolicy &policy, int connectTimeoutMs)
 {
-    std::atomic<int> dispatched{0};
-    return runClients(total, clients, seed, [&](Rng &rng,
-                                                ClientTally &tally) {
-        NetClient net;
-        std::string err;
-        net.connect(host, port, connectTimeoutMs, err);
-        for (int i = dispatched.fetch_add(1); i < total;
-             i = dispatched.fetch_add(1)) {
-            CompileRequest req = hammerRequest(
-                makeLoop(i, rng), machineText, scheduler);
-            req.deadlineMs = policy.deadlineMs;
-            auto r0 = std::chrono::steady_clock::now();
+    std::vector<ClientSlot> slots = clientSlots(clients, seed);
+    std::string err;
+    for (ClientSlot &slot : slots)
+        slot.net.connect(host, port, connectTimeoutMs, err);
+    return hammer(
+        slots, total, machineText, scheduler, makeLoop, policy,
+        [&](ClientSlot &slot, const CompileRequest &req) {
+            // A transport failure (refused, EOF from an injected
+            // serve.net.* fault, a garbled response) is a
+            // retryable Failed, with a reconnect on the next try.
+            std::string error;
+            if (!slot.net.connected())
+                slot.net.connect(host, port, connectTimeoutMs,
+                                 error);
             CompileResult result;
-            for (int attempt = 0;; ++attempt) {
-                if (!net.connected())
-                    net.connect(host, port, connectTimeoutMs,
-                                err);
-                if (!net.compile(req, result, err)) {
-                    // Transport failure (refused, EOF from an
-                    // injected serve.net.* fault, garbled
-                    // response): a retryable Failed, with a
-                    // reconnect on the next attempt.
-                    result = CompileResult();
-                    result.status = CompileStatus::Failed;
-                    result.parsed = true;
-                    result.error = "transport: " + err;
-                }
-                if (attempt + 1 >=
-                        std::max(policy.maxAttempts, 1) ||
-                    !policy.shouldRetry(result.status))
-                    break;
-                ++tally.retries;
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(
-                        policy.delayMs(attempt, rng)));
-            }
-            tally.add(result, r0);
-        }
-    });
+            return slot.net.compile(req, result, error)
+                       ? result.status
+                       : CompileStatus::Failed;
+        });
 }
 
 } // namespace dms

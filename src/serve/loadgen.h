@@ -166,7 +166,9 @@ HammerResult hammerService(
 /**
  * The same hammer loop over sockets: @p clients threads, each with
  * its own NetClient connection to @p host:@p port, firing
- * @p total requests through the wire protocol (serve/net.h).
+ * @p total requests through the wire protocol (serve/net.h). Every
+ * client connects (waiting up to @p connectTimeoutMs) before the
+ * threads start, so no request's latency includes the connect.
  * Latency is measured client-side around each round trip and
  * merged as in hammerService. Transport failures —
  * connection refused mid-run, EOF from an injected

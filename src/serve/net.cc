@@ -4,8 +4,12 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstring>
+#include <iterator>
+#include <list>
 #include <mutex>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -387,10 +391,9 @@ wireResultFromLine(const std::string &line, CompileResult &out,
             }
             return true;
         };
-        const auto numInt = [&](int &dst) {
+        const auto num = [&](long long lo, long long hi, int &dst) {
             long long v = 0;
-            if (!parseWireLong(value, v) || v < -(1LL << 31) ||
-                v > (1LL << 31)) {
+            if (!parseWireLong(value, v) || v < lo || v > hi) {
                 error = strfmt("bad integer for '%.*s'",
                                static_cast<int>(key.size()),
                                key.data());
@@ -398,6 +401,9 @@ wireResultFromLine(const std::string &line, CompileResult &out,
             }
             dst = static_cast<int>(v);
             return true;
+        };
+        const auto numInt = [&](int &dst) {
+            return num(INT_MIN, INT_MAX, dst);
         };
         const auto numLong = [&](long &dst) {
             long long v = 0;
@@ -420,11 +426,11 @@ wireResultFromLine(const std::string &line, CompileResult &out,
             }
             haveStatus = true;
         } else if (key == "parsed") {
-            if (!numInt(flag))
+            if (!num(0, 1, flag))
                 return false;
             parsed.parsed = flag != 0;
         } else if (key == "ok") {
-            if (!numInt(flag))
+            if (!num(0, 1, flag))
                 return false;
             parsed.ok = flag != 0;
         } else if (key == "error") {
@@ -558,9 +564,23 @@ struct NetServer::Impl
     std::atomic<bool> stopped{false};
     std::thread acceptThread;
 
+    /**
+     * One accepted connection and the thread serving it; the
+     * thread holds the Conn's address, so it never moves.
+     */
+    struct Conn
+    {
+        Conn() = default;
+        Conn(const Conn &) = delete;
+        Conn &operator=(const Conn &) = delete;
+
+        int fd = -1;
+        bool done = false; ///< its thread is past its last fd use
+        std::thread thread;
+    };
+
     std::mutex connMu;
-    std::vector<int> connFds;          ///< guarded by connMu
-    std::vector<std::thread> connThreads; ///< guarded by connMu
+    std::list<Conn> conns; ///< guarded by connMu
 
     std::atomic<std::uint64_t> connections{0};
     std::atomic<std::uint64_t> requests{0};
@@ -578,6 +598,15 @@ struct NetServer::Impl
                     break;
                 if (errno == EINTR || errno == ECONNABORTED)
                     continue;
+                if (errno == EMFILE || errno == ENFILE ||
+                    errno == ENOBUFS || errno == ENOMEM) {
+                    // Out of descriptors or memory: the pending
+                    // connection stays queued until a closing one
+                    // frees a slot, so back off and accept again.
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(10));
+                    continue;
+                }
                 break;
             }
             if (stopping.load(std::memory_order_acquire)) {
@@ -593,16 +622,48 @@ struct NetServer::Impl
                 continue;
             }
             connections.fetch_add(1, std::memory_order_relaxed);
+            reapFinished();
             std::lock_guard<std::mutex> lock(connMu);
-            connFds.push_back(fd);
-            connThreads.emplace_back(
-                [this, fd] { connLoop(fd); });
+            Conn &conn = conns.emplace_back();
+            conn.fd = fd;
+            try {
+                conn.thread =
+                    std::thread([this, &conn] { connLoop(conn); });
+            } catch (const std::system_error &) {
+                // No thread to serve it: drop this connection
+                // (its client sees EOF) and keep accepting.
+                conns.pop_back();
+                ::close(fd);
+            }
         }
     }
 
+    /**
+     * Join the threads of connections that have closed, so a
+     * long-running server holds one thread (and stack) per open
+     * connection rather than per connection ever accepted.
+     */
     void
-    connLoop(int fd)
+    reapFinished()
     {
+        std::list<Conn> finished;
+        {
+            std::lock_guard<std::mutex> lock(connMu);
+            for (auto it = conns.begin(); it != conns.end();) {
+                const auto next = std::next(it);
+                if (it->done)
+                    finished.splice(finished.end(), conns, it);
+                it = next;
+            }
+        }
+        for (Conn &c : finished)
+            c.thread.join();
+    }
+
+    void
+    connLoop(Conn &conn)
+    {
+        const int fd = conn.fd;
         std::string buf;
         char chunk[4096];
         bool discarding = false;
@@ -659,9 +720,7 @@ struct NetServer::Impl
         }
         {
             std::lock_guard<std::mutex> lock(connMu);
-            auto it = std::find(connFds.begin(), connFds.end(), fd);
-            if (it != connFds.end())
-                connFds.erase(it);
+            conn.done = true;
         }
         ::close(fd);
     }
@@ -820,18 +879,19 @@ NetServer::stop()
         ::close(im.listenFd);
         im.listenFd = -1;
     }
-    // Wake every blocked recv; each connection thread removes its
-    // fd from connFds (under connMu) before closing it, so the
-    // fds shut down here are never stale.
-    std::vector<std::thread> threads;
+    // Wake every blocked recv; each connection thread marks itself
+    // done (under connMu) before closing its fd, so the fds shut
+    // down here are never stale.
+    std::list<Impl::Conn> conns;
     {
         std::lock_guard<std::mutex> lock(im.connMu);
-        for (int fd : im.connFds)
-            ::shutdown(fd, SHUT_RDWR);
-        threads.swap(im.connThreads);
+        for (const Impl::Conn &c : im.conns)
+            if (!c.done)
+                ::shutdown(c.fd, SHUT_RDWR);
+        conns.swap(im.conns);
     }
-    for (std::thread &t : threads)
-        t.join();
+    for (Impl::Conn &c : conns)
+        c.thread.join();
 }
 
 int

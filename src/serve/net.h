@@ -149,9 +149,12 @@ struct NetServerOptions
 /**
  * The TCP listener: accept thread + one thread per connection,
  * each connection handling one request line at a time against the
- * shared CompileService. stop() (or destruction) closes every
- * socket, joins every thread, and leaves the service drained by
- * its own shutdown path.
+ * shared CompileService. The threads of closed connections are
+ * joined as new ones are accepted, and accept waits out descriptor
+ * or memory exhaustion (EMFILE, ENFILE, ENOBUFS, ENOMEM) instead
+ * of giving up. stop() (or destruction) closes every socket, joins
+ * every thread, and leaves the service drained by its own shutdown
+ * path.
  */
 class NetServer
 {

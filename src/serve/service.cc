@@ -246,7 +246,7 @@ struct CompileService::Impl
           cache(o.shards, o.cacheCapacity),
           aliases(o.shards, o.cacheCapacity),
           workerCount(o.workers > 0 ? o.workers
-                                    : ThreadPool::defaultJobs()),
+                                    : defaultJobs()),
           requests(metricsReg.counter("serve.requests")),
           hits(metricsReg.counter("serve.hits")),
           coalesced(metricsReg.counter("serve.coalesced")),

@@ -42,7 +42,7 @@ namespace dms {
 /** Service shape knobs; every field has a DMS_SERVE_* env twin. */
 struct ServeOptions
 {
-    /** Worker threads; 0 picks ThreadPool::defaultJobs(). */
+    /** Worker threads; 0 picks defaultJobs(). */
     int workers = 0;
 
     /** Bounded request-queue capacity (submitters block when full). */

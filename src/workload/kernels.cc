@@ -1,6 +1,5 @@
 #include "workload/kernels.h"
 
-#include "ir/scc.h"
 #include "ir/verify.h"
 #include "support/diag.h"
 
@@ -96,7 +95,6 @@ finish(const char *name, LoopBuilder &b, long trip)
     loop.name = name;
     loop.ddg = b.take();
     loop.tripCount = trip;
-    loop.recurrence = hasRecurrence(loop.ddg);
     return loop;
 }
 

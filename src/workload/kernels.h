@@ -22,7 +22,6 @@ struct Loop
     std::string name;
     Ddg ddg;             ///< original body (unroll factor 1)
     long tripCount = 100;
-    bool recurrence = false; ///< cached hasRecurrence(ddg)
 };
 
 /**

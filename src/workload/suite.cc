@@ -1,5 +1,7 @@
 #include "workload/suite.h"
 
+#include "ir/scc.h"
+
 namespace dms {
 
 std::vector<Loop>
@@ -16,7 +18,7 @@ selectSet(const std::vector<Loop> &suite, LoopSet set)
 {
     std::vector<size_t> idx;
     for (size_t i = 0; i < suite.size(); ++i) {
-        if (set == LoopSet::Set1 || !suite[i].recurrence)
+        if (set == LoopSet::Set1 || !hasRecurrence(suite[i].ddg))
             idx.push_back(i);
     }
     return idx;

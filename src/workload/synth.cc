@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "ir/scc.h"
 #include "ir/verify.h"
 #include "support/diag.h"
 
@@ -190,7 +189,6 @@ synthesizeLoop(Rng &rng, const SynthParams &params, int index)
     double hi = std::log(static_cast<double>(params.tripHi));
     loop.tripCount = static_cast<long>(
         std::lround(std::exp(lo + rng.uniform() * (hi - lo))));
-    loop.recurrence = hasRecurrence(loop.ddg);
     return loop;
 }
 

@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "ir/scc.h"
 #include "ir/verify.h"
 #include "support/diag.h"
 #include "support/strings.h"
@@ -373,7 +372,6 @@ loopFromText(const std::string &text, Loop &out, std::string &error,
                        problems[0].c_str());
         return false;
     }
-    out.recurrence = hasRecurrence(out.ddg);
     return true;
 }
 

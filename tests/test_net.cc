@@ -3,19 +3,26 @@
  * Network front-end tests: wire escape/framing round trips, a
  * deterministic framing-fuzz pass over corrupted request lines
  * (parse or structured reject — never a crash), live-server abuse
- * (garbage lines, oversized lines, mid-request disconnects) that
- * must leave the daemon serving, and the socket-parity pin: a TCP
- * round trip returns results bit-identical to the in-process
- * CompileService, including a cache-hit round trip.
+ * (garbage lines, oversized lines, mid-request disconnects, a
+ * connection flood, descriptor exhaustion) that must leave the
+ * daemon serving, the socket-parity pin: a TCP round trip returns
+ * results bit-identical to the in-process CompileService, including
+ * a cache-hit round trip, and the load generator's two transports
+ * agreeing on one mix.
  */
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,8 +36,10 @@
 #include "core/dms.h"
 #include "machine/desc.h"
 #include "requests.h"
+#include "serve/loadgen.h"
 #include "serve/net.h"
 #include "serve/service.h"
+#include "support/faultinject.h"
 #include "support/rng.h"
 #include "workload/suite.h"
 #include "workload/text.h"
@@ -232,6 +241,52 @@ TEST(Wire, ResultLineRoundTripsEveryField)
     expectResultsIdentical(r, back);
 }
 
+TEST(Wire, ResultLineRejectsOutOfRangeIntegers)
+{
+    CompileResult r;
+    r.status = CompileStatus::Ok;
+    r.parsed = true;
+    r.ok = true;
+    r.run.ii = 7;
+    const std::string line = wireResultToLine(r);
+    // @p line with the one field @p from spelled @p to.
+    const auto with = [&](const std::string &from,
+                          const std::string &to) {
+        std::string out = line;
+        const size_t at = out.find("\t" + from + "\t");
+        EXPECT_NE(at, std::string::npos) << from;
+        return out.replace(at + 1, from.size(), to);
+    };
+
+    CompileResult back;
+    std::string error;
+    // 2^31 is one past INT_MAX: rejected, not wrapped to INT_MIN.
+    EXPECT_FALSE(
+        wireResultFromLine(with("ii=7", "ii=2147483648"), back, error));
+    EXPECT_EQ(error, "bad integer for 'ii'");
+    EXPECT_FALSE(wireResultFromLine(with("ii=7", "ii=-2147483649"),
+                                    back, error));
+    ASSERT_TRUE(
+        wireResultFromLine(with("ii=7", "ii=2147483647"), back, error))
+        << error;
+    EXPECT_EQ(back.run.ii, 2147483647);
+    ASSERT_TRUE(wireResultFromLine(with("ii=7", "ii=-2147483648"),
+                                   back, error))
+        << error;
+    EXPECT_EQ(back.run.ii, -2147483647 - 1);
+
+    // The flags take 0 or 1, like the request side's.
+    EXPECT_FALSE(
+        wireResultFromLine(with("parsed=1", "parsed=2"), back, error));
+    EXPECT_EQ(error, "bad integer for 'parsed'");
+    EXPECT_FALSE(wireResultFromLine(with("ok=1", "ok=-1"), back, error));
+    EXPECT_EQ(error, "bad integer for 'ok'");
+    ASSERT_TRUE(
+        wireResultFromLine(with("ok=1", "ok=0"), back, error))
+        << error;
+    EXPECT_FALSE(back.ok);
+}
+
 TEST(Wire, FramingFuzzNeverCrashesTheParser)
 {
     // Deterministic corruption of a real request line: byte flips,
@@ -362,6 +417,125 @@ TEST(NetServer, OversizedLineIsRejectedAndTheConnectionSurvives)
     ASSERT_TRUE(wireResultFromLine(respLine, resp, error)) << error;
     EXPECT_EQ(resp.status, CompileStatus::Ok);
     ::close(fd);
+    server.stop();
+}
+
+/** Lines of /proc/self/maps: one per mapping, thread stacks too. */
+size_t
+mappingCount()
+{
+    std::ifstream maps("/proc/self/maps");
+    size_t lines = 0;
+    for (std::string line; std::getline(maps, line);)
+        ++lines;
+    return lines;
+}
+
+TEST(NetServer, FinishedConnectionThreadsAreJoined)
+{
+    // Each connection gets a thread; one that is never joined
+    // keeps its stack mapped, so a connection flood used to grow
+    // the process by one stack per connection until thread
+    // creation failed and took the daemon down.
+    ServeOptions so;
+    so.workers = 1;
+    CompileService service(so);
+    NetServer server(service);
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+
+    // One cycle: connect, one metrics round trip, close.
+    const auto cycles = [&](int n) {
+        for (int cycle = 0; cycle < n; ++cycle) {
+            NetClient client;
+            std::string text;
+            if (!client.connect("127.0.0.1", server.port(), 5000,
+                                error) ||
+                !client.fetchMetrics(text, error))
+                return false;
+        }
+        return true;
+    };
+    // The warm-up lets a sanitizer runtime reach its steady state
+    // of per-thread bookkeeping before the count is taken.
+    ASSERT_TRUE(cycles(100)) << error;
+    const size_t before = mappingCount();
+    ASSERT_TRUE(cycles(300)) << error;
+    const size_t after = mappingCount();
+    EXPECT_LT(after, before + 50) << before << " -> " << after;
+    EXPECT_EQ(counter(server.metrics(), "net.connections"), 400u);
+    server.stop();
+}
+
+TEST(NetServer, AcceptSurvivesDescriptorExhaustion)
+{
+    ServeOptions so;
+    so.workers = 1;
+    CompileService service(so);
+    NetServer server(service);
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+
+    rlimit saved{};
+    ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+    // Restores the limit and closes every descriptor the burst
+    // holds, on every exit path.
+    struct Burst
+    {
+        explicit Burst(const rlimit &limit) : saved(limit) {}
+        Burst(const Burst &) = delete;
+        Burst &operator=(const Burst &) = delete;
+        ~Burst()
+        {
+            for (int fd : fds)
+                ::close(fd);
+            ::setrlimit(RLIMIT_NOFILE, &saved);
+        }
+
+        rlimit saved;
+        std::vector<int> fds;
+    } burst(saved);
+    rlimit low = saved;
+    low.rlim_cur = std::min<rlim_t>(saved.rlim_cur, 64);
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+
+    // Take every free descriptor, then give one back to a client
+    // that connects: the kernel completes its handshake, but the
+    // server has no descriptor left to accept it with (EMFILE).
+    for (int fd = ::socket(AF_INET, SOCK_STREAM, 0); fd >= 0;
+         fd = ::socket(AF_INET, SOCK_STREAM, 0))
+        burst.fds.push_back(fd);
+    ASSERT_FALSE(burst.fds.empty());
+    ::close(burst.fds.back());
+    burst.fds.pop_back();
+    const int pending = rawConnect(server.port());
+    ASSERT_GE(pending, 0);
+    burst.fds.push_back(pending);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+    for (int fd : burst.fds)
+        ::close(fd);
+    burst.fds.clear();
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+
+    // Descriptors are back: a new connection is accepted and its
+    // request answered. The receive timeout turns a server that
+    // stopped accepting into a failure rather than a hang.
+    const int fd = rawConnect(server.port());
+    ASSERT_GE(fd, 0);
+    burst.fds.push_back(fd);
+    timeval timeout{};
+    timeout.tv_sec = 3;
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof timeout),
+              0);
+    WireRequest metrics;
+    metrics.verb = WireRequest::Verb::Metrics;
+    ASSERT_TRUE(rawSend(fd, wireRequestToLine(metrics) + "\n"));
+    std::string line;
+    ASSERT_TRUE(rawReadLine(fd, line)) << "no answer after EMFILE";
+    std::string text;
+    EXPECT_TRUE(wireMetricsFromLine(line, text, error)) << error;
     server.stop();
 }
 
@@ -539,6 +713,90 @@ TEST(NetServer, ConcurrentMetricsPollingUnderLoad)
     ASSERT_NE(latency, nullptr);
     EXPECT_EQ(latency->hist.count, 45u);
     server.stop();
+}
+
+// --- load generator transports -----------------------------------------
+
+TEST(Net, HammerNetworkMatchesHammerService)
+{
+    // One seed and one mix (hot kernels with every fourth request
+    // a unique cold loop; the text depends only on the request
+    // number) through both transports of the load generator.
+    const std::string machineText =
+        machineToText(MachineModel::clusteredRing(4));
+    const std::vector<std::string> hot = hotKernelTexts();
+    constexpr std::uint64_t kSeed = 0x4e7ULL;
+    constexpr int kTotal = 48;
+    const auto mix = [&](int i, Rng &) -> std::string {
+        if (i % 4 == 3)
+            return coldLoopText(kSeed, i);
+        return hot[static_cast<size_t>(i) % hot.size()];
+    };
+    const auto terminal = [](const HammerResult &r) {
+        int sum = 0;
+        for (int count : r.byStatus)
+            sum += count;
+        return sum;
+    };
+
+    ServeOptions so;
+    so.workers = 2;
+    HammerResult direct;
+    {
+        CompileService service(so);
+        direct = hammerService(service, kTotal, 2, machineText, "dms",
+                               kSeed, mix);
+    }
+    HammerResult wire;
+    {
+        CompileService service(so);
+        NetServer server(service);
+        std::string error;
+        ASSERT_TRUE(server.start(error)) << error;
+        wire = hammerNetwork("127.0.0.1", server.port(), kTotal, 2,
+                             machineText, "dms", kSeed, mix);
+        server.stop();
+    }
+    EXPECT_EQ(direct.requests, kTotal);
+    EXPECT_EQ(wire.requests, kTotal);
+    EXPECT_EQ(terminal(direct), kTotal);
+    EXPECT_EQ(terminal(wire), kTotal);
+    for (size_t s = 0; s < kCompileStatusCount; ++s)
+        EXPECT_EQ(wire.byStatus[s], direct.byStatus[s])
+            << compileStatusName(static_cast<CompileStatus>(s));
+    EXPECT_EQ(wire.failures, direct.failures);
+    EXPECT_GT(wire.count(CompileStatus::Ok), 0);
+    EXPECT_EQ(direct.retries, 0);
+    EXPECT_EQ(wire.retries, 0);
+
+    // Connections dropped mid-read: each is a transport failure the
+    // client retries on a fresh connection, and every request
+    // still resolves to one terminal status. The plan is armed
+    // before the server starts and disarmed after it has stopped.
+    FaultPlan plan;
+    std::string error;
+    ASSERT_TRUE(plan.parse("serve.net.read:0.2:7", error)) << error;
+    RetryPolicy policy;
+    policy.maxAttempts = 3;
+    policy.backoffBaseMs = 1;
+    policy.backoffMaxMs = 4;
+    HammerResult faulted;
+    armFaults(plan);
+    {
+        CompileService service(so);
+        NetServer server(service);
+        if (server.start(error)) {
+            faulted = hammerNetwork("127.0.0.1", server.port(),
+                                    kTotal, 2, machineText, "dms",
+                                    kSeed, mix, policy);
+        }
+        server.stop();
+    }
+    disarmFaults();
+    ASSERT_TRUE(error.empty()) << error;
+    EXPECT_EQ(faulted.requests, kTotal);
+    EXPECT_EQ(terminal(faulted), kTotal);
+    EXPECT_GT(faulted.retries, 0);
 }
 
 } // namespace

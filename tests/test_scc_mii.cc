@@ -231,13 +231,13 @@ TEST(MinII, MaxOfBounds)
 
 TEST(KernelFacts, RecurrenceFlagsMatch)
 {
-    EXPECT_FALSE(kernelDaxpy().recurrence);
-    EXPECT_TRUE(kernelDotProduct().recurrence);
-    EXPECT_TRUE(kernelIir2().recurrence);
-    EXPECT_FALSE(kernelComplexMultiply().recurrence);
-    EXPECT_FALSE(kernelColorConvert().recurrence);
-    EXPECT_TRUE(kernelPrefixSum().recurrence);
-    EXPECT_FALSE(kernelFftButterfly().recurrence);
+    EXPECT_FALSE(hasRecurrence(kernelDaxpy().ddg));
+    EXPECT_TRUE(hasRecurrence(kernelDotProduct().ddg));
+    EXPECT_TRUE(hasRecurrence(kernelIir2().ddg));
+    EXPECT_FALSE(hasRecurrence(kernelComplexMultiply().ddg));
+    EXPECT_FALSE(hasRecurrence(kernelColorConvert().ddg));
+    EXPECT_TRUE(hasRecurrence(kernelPrefixSum().ddg));
+    EXPECT_FALSE(hasRecurrence(kernelFftButterfly().ddg));
 }
 
 TEST(KernelFacts, AllSixteenBuildAndVerify)

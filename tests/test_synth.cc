@@ -23,7 +23,7 @@ TEST(Synth, Deterministic)
         EXPECT_EQ(a[i].ddg.numOps(), b[i].ddg.numOps());
         EXPECT_EQ(a[i].ddg.numEdges(), b[i].ddg.numEdges());
         EXPECT_EQ(a[i].tripCount, b[i].tripCount);
-        EXPECT_EQ(a[i].recurrence, b[i].recurrence);
+        EXPECT_EQ(hasRecurrence(a[i].ddg), hasRecurrence(b[i].ddg));
     }
 }
 
@@ -44,7 +44,6 @@ TEST(Synth, AllLoopsStructurallyValid)
         EXPECT_TRUE(verifyDdg(k.ddg).empty()) << k.name;
         EXPECT_GE(k.ddg.liveOpCount(), 4) << k.name;
         EXPECT_GT(k.tripCount, 0) << k.name;
-        EXPECT_EQ(k.recurrence, hasRecurrence(k.ddg)) << k.name;
     }
 }
 
@@ -68,7 +67,7 @@ TEST(Synth, RecurrenceFractionNearTarget)
     auto loops = synthesizeSuite(kSuiteSeed, 600);
     int recs = 0;
     for (const Loop &k : loops)
-        recs += k.recurrence;
+        recs += hasRecurrence(k.ddg);
     double frac = static_cast<double>(recs) / 600.0;
     EXPECT_GT(frac, 0.25);
     EXPECT_LT(frac, 0.55);
@@ -122,7 +121,7 @@ TEST(Suite, SetSelection)
     EXPECT_LT(set2.size(), set1.size());
     EXPECT_GT(set2.size(), 0u);
     for (size_t i : set2)
-        EXPECT_FALSE(suite[i].recurrence);
+        EXPECT_FALSE(hasRecurrence(suite[i].ddg));
 }
 
 TEST(Suite, PaperLoopCountDefault)

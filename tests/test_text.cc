@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ir/scc.h"
 #include "machine/desc.h"
 #include "mutate.h"
 #include "serve/loadgen.h"
@@ -38,7 +39,7 @@ TEST(Text, RoundTripAllKernels)
         EXPECT_EQ(back.name, k.name);
         EXPECT_EQ(back.tripCount, k.tripCount);
         EXPECT_EQ(back.ddg.liveOpCount(), k.ddg.liveOpCount());
-        EXPECT_EQ(back.recurrence, k.recurrence);
+        EXPECT_EQ(hasRecurrence(back.ddg), hasRecurrence(k.ddg));
         // Semantics: identical store logs.
         auto problems = compareStoreLogs(
             referenceExecute(k.ddg, 12),
@@ -184,7 +185,7 @@ TEST(Text, ParsesCommentsAndBlanks)
     EXPECT_EQ(l.tripCount, 7);
     EXPECT_EQ(l.ddg.op(0).memStream, 3);
     EXPECT_EQ(l.ddg.op(0).memOffset, 2);
-    EXPECT_FALSE(l.recurrence);
+    EXPECT_FALSE(hasRecurrence(l.ddg));
 }
 
 TEST(Text, ParsesConstLiteral)
@@ -271,7 +272,8 @@ TEST(Text, MutationOutcomesPinned)
             ok = loopFromText(text, loop, error);
             if (!ok)
                 return "error " + error;
-            return std::string(loop.recurrence ? "rec " : "ok ") +
+            return std::string(hasRecurrence(loop.ddg) ? "rec "
+                                                       : "ok ") +
                    loopToText(loop);
         });
     EXPECT_GT(accepted, 300);
