@@ -64,6 +64,13 @@
  *   repeat N SPEC  N identical requests (exercises the cache and
  *                  single-flight dedup)
  *
+ * Script mode prints one line per request, in script order:
+ * "II=.. (MII=..), SC=.., N cycles [cold|coalesced|hit]" for a
+ * schedule, "unschedulable (MII N, no schedule)", or the status
+ * name and its error ("failed (injected fault at ...)"). Any
+ * non-Ok request makes the exit code 1; with DMS_FAULTS armed only
+ * invalid ones do.
+ *
  * The service's queue depth, shard count and cache capacity come
  * from the DMS_SERVE_QUEUE_DEPTH / DMS_SERVE_SHARDS /
  * DMS_SERVE_CACHE_CAP environment knobs (strictly parsed).
@@ -362,22 +369,27 @@ runScript(CompileService &service, const std::string &path,
 
     for (Pending &p : pending) {
         CompileService::ResultPtr result = p.ticket.future.get();
-        if (!result->parsed) {
-            std::printf("%s: REJECTED (%s)\n", p.label.c_str(),
-                        result->error.c_str());
-            ++failures;
-        } else if (!result->ok) {
-            std::printf("%s: FAILED (MII %d, no schedule)\n",
-                        p.label.c_str(), result->run.mii);
-            ++failures;
-        } else {
+        const CompileStatus status = result->status;
+        if (status == CompileStatus::Ok) {
             std::printf("%s: II=%d (MII=%d), SC=%d, %ld cycles "
                         "[%s]\n",
                         p.label.c_str(), result->run.ii,
                         result->run.mii, result->run.stageCount,
                         result->run.cycles,
                         sourceName(p.ticket.source));
+            continue;
         }
+        if (status == CompileStatus::Unschedulable)
+            std::printf("%s: unschedulable (MII %d, no schedule)\n",
+                        p.label.c_str(), result->run.mii);
+        else
+            std::printf("%s: %s (%s)\n", p.label.c_str(),
+                        compileStatusName(status),
+                        result->error.c_str());
+        // Under an armed fault plan only Invalid fails the run,
+        // as in the load modes.
+        if (!faultsArmed() || status == CompileStatus::Invalid)
+            ++failures;
     }
     return failures == 0 ? 0 : 1;
 }

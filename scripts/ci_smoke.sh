@@ -6,7 +6,11 @@
 #
 #   serve         dmsd's in-process load generator: the report must
 #                 show cache hits and no invalid requests. A second
-#                 run on a 16-entry cache must also evict.
+#                 run on a 16-entry cache must also evict. Then
+#                 --script mode: five scheduled requests, one of
+#                 them at least answered by the cache, and under a
+#                 fault plan failing every schedule stage five
+#                 `failed` lines and still exit 0.
 #   network       a --listen daemon (tracing armed) hammered by a
 #                 --connect client: the client's report (the
 #                 daemon's counters, fetched over the wire) must
@@ -90,6 +94,13 @@ serve)
     grep -E 'serve: .* [1-9][0-9]* hits' evict.out
     grep -E 'cache: .* [1-9][0-9]* evicted' evict.out
     grep -E ', 0 invalid' evict.out
+    printf 'compile kernel:fir8\nrepeat 4 kernel:daxpy\n' > s.script
+    "$bin/dmsd" --script s.script | tee script.out
+    test "$(grep -c 'II=' script.out)" -eq 5
+    grep -E '\[(hit|coalesced)\]' script.out
+    DMS_FAULTS=pipeline.schedule:1:7 "$bin/dmsd" --script s.script |
+        tee script_faults.out
+    test "$(grep -c '^kernel:[^ ]*: failed (' script_faults.out)" -eq 5
     lint_clean serve.metrics evict.metrics
     ;;
 network)

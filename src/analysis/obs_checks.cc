@@ -7,7 +7,7 @@
  * the count field, re-deriving the service's accounting identities
  * from which submit outcomes exist, re-walking the span tree
  * instead of trusting the writer's nesting — so a bookkeeping bug
- * in the service, the metrics registry or the tracer cannot
+ * in the service, the metrics writer or the tracer cannot
  * certify its own output. Locations carry the 1-based line of the
  * offending metric line / span event when the text is available.
  */

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
-#include <deque>
-#include <mutex>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "support/diag.h"
@@ -111,71 +108,6 @@ MetricsSnapshot::findHistogram(const std::string &name) const
         if (h.name == name)
             return &h;
     return nullptr;
-}
-
-struct MetricsRegistry::Impl
-{
-    /**
-     * Deques give stable cell addresses across registration;
-     * the maps index them by name. The mutex covers registration
-     * and snapshot iteration only — never a cell touch.
-     */
-    mutable std::mutex mu;
-    std::deque<std::pair<std::string, Counter>> counters;
-    std::deque<std::pair<std::string, LatencyHistogram>> histograms;
-    std::unordered_map<std::string, Counter *> counterByName;
-    std::unordered_map<std::string, LatencyHistogram *> histByName;
-};
-
-MetricsRegistry::MetricsRegistry() : impl_(new Impl) {}
-
-MetricsRegistry::~MetricsRegistry() = default;
-
-Counter &
-MetricsRegistry::counter(const std::string &name)
-{
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    auto it = impl_->counterByName.find(name);
-    if (it != impl_->counterByName.end())
-        return *it->second;
-    impl_->counters.emplace_back(std::piecewise_construct,
-                                 std::forward_as_tuple(name),
-                                 std::forward_as_tuple());
-    Counter *cell = &impl_->counters.back().second;
-    impl_->counterByName.emplace(name, cell);
-    return *cell;
-}
-
-LatencyHistogram &
-MetricsRegistry::histogram(const std::string &name)
-{
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    auto it = impl_->histByName.find(name);
-    if (it != impl_->histByName.end())
-        return *it->second;
-    impl_->histograms.emplace_back(std::piecewise_construct,
-                                   std::forward_as_tuple(name),
-                                   std::forward_as_tuple());
-    LatencyHistogram *cell = &impl_->histograms.back().second;
-    impl_->histByName.emplace(name, cell);
-    return *cell;
-}
-
-MetricsSnapshot
-MetricsRegistry::snapshot() const
-{
-    MetricsSnapshot snap;
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    // Histograms before counters: a latency is recorded after its
-    // request was counted, so sweeping the histogram first keeps
-    // the lint identity hist.count <= serve.requests true even
-    // against concurrent recording.
-    for (const auto &h : impl_->histograms)
-        snap.addHistogram(h.first, h.second.snapshot());
-    for (const auto &c : impl_->counters)
-        snap.addCounter(c.first, c.second.value());
-    snap.sortByName();
-    return snap;
 }
 
 std::string

@@ -3,18 +3,18 @@
 
 /**
  * @file
- * The metrics registry: named counters and latency histograms
- * behind one canonical text format ("dmsmetrics v1") — the serving
- * tier's one telemetry format, served by the `metrics` wire verb
- * and written by `dmsd --metrics-out`. Gauges are not live cells:
- * a snapshot's owner derives them when it is taken (addGauge).
+ * Metrics: counters and latency histograms behind one canonical
+ * text format ("dmsmetrics v1") — the serving tier's one telemetry
+ * format, served by the `metrics` wire verb and written by
+ * `dmsd --metrics-out`.
  *
- * Cells are registered once (service construction, single-
- * threaded) and then touched lock-free: a Counter::inc is one
- * relaxed fetch_add, a histogram record one wait-free
- * LatencyHistogram::record. The registry mutex only guards
- * registration and snapshotting, never a hot increment — hot paths
- * hold direct references to their cells.
+ * Each component owns its cells as plain members and appends them
+ * to its snapshot by name (addCounter, addHistogram): the compile
+ * service its serve.* cells, NetServer its net.* cells on top.
+ * A Counter::inc is one relaxed fetch_add, a histogram record one
+ * wait-free LatencyHistogram::record; no mutex on a hot path.
+ * Gauges are not live cells: a snapshot's owner derives them when
+ * it is taken (addGauge).
  *
  * Text format (strict parse, versioned header, "line N:" errors):
  *
@@ -36,7 +36,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -65,7 +64,7 @@ class Counter
     std::atomic<std::uint64_t> value_{0};
 };
 
-/** Plain-data copy of every registered cell, sorted by name. */
+/** Plain-data copy of a component's cells, sorted by name. */
 struct MetricsSnapshot
 {
     struct CounterValue
@@ -101,31 +100,6 @@ struct MetricsSnapshot
     const GaugeValue *findGauge(const std::string &name) const;
     const HistogramValue *
     findHistogram(const std::string &name) const;
-};
-
-/**
- * Owner of the live cells. Registration returns stable references
- * (cells never move once created); re-registering a name returns
- * the existing cell.
- */
-class MetricsRegistry
-{
-  public:
-    MetricsRegistry();
-    ~MetricsRegistry();
-
-    MetricsRegistry(const MetricsRegistry &) = delete;
-    MetricsRegistry &operator=(const MetricsRegistry &) = delete;
-
-    Counter &counter(const std::string &name);
-    LatencyHistogram &histogram(const std::string &name);
-
-    /** Relaxed sweep of every cell, sorted by name. */
-    MetricsSnapshot snapshot() const;
-
-  private:
-    struct Impl;
-    std::unique_ptr<Impl> impl_;
 };
 
 /** Serialize into the canonical "dmsmetrics v1" text format. */

@@ -150,6 +150,32 @@ splitField(std::string_view token, std::string_view &key,
     return true;
 }
 
+/**
+ * Split field @p i of a request or result line's @p tokens. False
+ * with @p error set when it is not key=value, or when a field
+ * before it (from 2, past the magic and the verb) has its key.
+ */
+bool
+fieldAt(const std::vector<std::string> &tokens, size_t i,
+        std::string_view &key, std::string_view &value,
+        std::string &error)
+{
+    if (!splitField(tokens[i], key, value)) {
+        error = strfmt("field %zu is not key=value", i);
+        return false;
+    }
+    for (size_t j = 2; j < i; ++j) {
+        const std::string &t = tokens[j];
+        if (t.size() > key.size() && t[key.size()] == '=' &&
+            t.compare(0, key.size(), key) == 0) {
+            error = strfmt("duplicate key '%.*s'",
+                           static_cast<int>(key.size()), key.data());
+            return false;
+        }
+    }
+    return true;
+}
+
 /** One `<verb> text=<esc>` response line (metricsr, tracer). */
 std::string
 textResponseToLine(const char *verb, const std::string &text)
@@ -257,10 +283,8 @@ wireRequestFromLine(const std::string &line, WireRequest &out,
     for (size_t i = 2; i < tokens.size(); ++i) {
         std::string_view key;
         std::string_view value;
-        if (!splitField(tokens[i], key, value)) {
-            error = strfmt("field %zu is not key=value", i);
+        if (!fieldAt(tokens, i, key, value, error))
             return false;
-        }
         const auto text = [&](std::string &dst) {
             if (!wireUnescape(value, dst)) {
                 error = strfmt("bad escape in '%.*s'",
@@ -375,13 +399,13 @@ wireResultFromLine(const std::string &line, CompileResult &out,
     }
     CompileResult parsed;
     bool haveStatus = false;
+    int parsedFlag = -1; // -1: field absent
+    int okFlag = -1;
     for (size_t i = 2; i < tokens.size(); ++i) {
         std::string_view key;
         std::string_view value;
-        if (!splitField(tokens[i], key, value)) {
-            error = strfmt("field %zu is not key=value", i);
+        if (!fieldAt(tokens, i, key, value, error))
             return false;
-        }
         const auto text = [&](std::string &dst) {
             if (!wireUnescape(value, dst)) {
                 error = strfmt("bad escape in '%.*s'",
@@ -416,7 +440,6 @@ wireResultFromLine(const std::string &line, CompileResult &out,
             dst = static_cast<long>(v);
             return true;
         };
-        int flag = 0;
         if (key == "status") {
             if (!compileStatusFromName(value, parsed.status)) {
                 error = strfmt("unknown status '%.*s'",
@@ -426,13 +449,11 @@ wireResultFromLine(const std::string &line, CompileResult &out,
             }
             haveStatus = true;
         } else if (key == "parsed") {
-            if (!num(0, 1, flag))
+            if (!num(0, 1, parsedFlag))
                 return false;
-            parsed.parsed = flag != 0;
         } else if (key == "ok") {
-            if (!num(0, 1, flag))
+            if (!num(0, 1, okFlag))
                 return false;
-            parsed.ok = flag != 0;
         } else if (key == "error") {
             if (!text(parsed.error))
                 return false;
@@ -492,7 +513,13 @@ wireResultFromLine(const std::string &line, CompileResult &out,
         error = "result line missing status=";
         return false;
     }
-    parsed.run.ok = parsed.ok;
+    deriveResultFlags(parsed);
+    if ((parsedFlag >= 0 && (parsedFlag == 1) != parsed.parsed) ||
+        (okFlag >= 0 && (okFlag == 1) != parsed.ok)) {
+        error = strfmt("parsed=/ok= disagree with status=%s",
+                       compileStatusName(parsed.status));
+        return false;
+    }
     out = std::move(parsed);
     return true;
 }
@@ -582,11 +609,11 @@ struct NetServer::Impl
     std::mutex connMu;
     std::list<Conn> conns; ///< guarded by connMu
 
-    std::atomic<std::uint64_t> connections{0};
-    std::atomic<std::uint64_t> requests{0};
-    std::atomic<std::uint64_t> framingRejects{0};
-    std::atomic<std::uint64_t> bytesIn{0};
-    std::atomic<std::uint64_t> bytesOut{0};
+    obs::Counter connections;
+    obs::Counter requests;
+    obs::Counter framingRejects;
+    obs::Counter bytesIn;
+    obs::Counter bytesOut;
 
     void
     acceptLoop()
@@ -621,7 +648,7 @@ struct NetServer::Impl
                 ::close(fd);
                 continue;
             }
-            connections.fetch_add(1, std::memory_order_relaxed);
+            connections.inc();
             reapFinished();
             std::lock_guard<std::mutex> lock(connMu);
             Conn &conn = conns.emplace_back();
@@ -679,8 +706,7 @@ struct NetServer::Impl
                 continue;
             if (n <= 0)
                 break;
-            bytesIn.fetch_add(static_cast<std::uint64_t>(n),
-                              std::memory_order_relaxed);
+            bytesIn.inc(static_cast<std::uint64_t>(n));
             buf.append(chunk, static_cast<size_t>(n));
 
             bool dead = false;
@@ -696,7 +722,7 @@ struct NetServer::Impl
                 }
                 if (!line.empty() && line.back() == '\r')
                     line.pop_back();
-                requests.fetch_add(1, std::memory_order_relaxed);
+                requests.inc();
                 if (!respond(fd, handleLine(line))) {
                     dead = true;
                     break;
@@ -709,7 +735,7 @@ struct NetServer::Impl
                     static_cast<size_t>(opts.maxLineBytes)) {
                 // Oversized line: reject what we have, then skip
                 // to the next newline so the connection survives.
-                requests.fetch_add(1, std::memory_order_relaxed);
+                requests.inc();
                 if (!respond(fd, framingReject(strfmt(
                                  "line exceeds %d bytes",
                                  opts.maxLineBytes))))
@@ -738,7 +764,7 @@ struct NetServer::Impl
         out += '\n';
         if (!writeAll(fd, out))
             return false;
-        bytesOut.fetch_add(out.size(), std::memory_order_relaxed);
+        bytesOut.inc(out.size());
         return true;
     }
 
@@ -761,11 +787,11 @@ struct NetServer::Impl
             service.submit(junk).future.get();
         if (accounted->status != CompileStatus::Invalid)
             return wireResultToLine(*accounted);
-        framingRejects.fetch_add(1, std::memory_order_relaxed);
+        framingRejects.inc();
         CompileResult result;
         result.status = CompileStatus::Invalid;
-        result.parsed = false;
         result.error = "framing: " + std::move(why);
+        deriveResultFlags(result);
         return wireResultToLine(result);
     }
 
@@ -798,18 +824,11 @@ struct NetServer::Impl
     metricsSnapshot() const
     {
         obs::MetricsSnapshot snap = service.metrics();
-        snap.addCounter(
-            "net.connections",
-            connections.load(std::memory_order_relaxed));
-        snap.addCounter("net.requests",
-                        requests.load(std::memory_order_relaxed));
-        snap.addCounter(
-            "net.framing_rejects",
-            framingRejects.load(std::memory_order_relaxed));
-        snap.addCounter("net.bytes_in",
-                        bytesIn.load(std::memory_order_relaxed));
-        snap.addCounter("net.bytes_out",
-                        bytesOut.load(std::memory_order_relaxed));
+        snap.addCounter("net.connections", connections.value());
+        snap.addCounter("net.requests", requests.value());
+        snap.addCounter("net.framing_rejects", framingRejects.value());
+        snap.addCounter("net.bytes_in", bytesIn.value());
+        snap.addCounter("net.bytes_out", bytesOut.value());
         snap.sortByName();
         return snap;
     }

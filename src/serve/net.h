@@ -18,7 +18,8 @@
  * reserves: `\\` `\n` `\t` `\r` — which is exactly what lets the
  * multi-line loopToText/machineToText formats ride in a single
  * line. Unknown keys are framing errors (strictness over
- * forward-compat: the protocol is versioned by the magic).
+ * forward-compat: the protocol is versioned by the magic), and so
+ * is a key given twice in one line.
  *
  * Requests:
  *
@@ -43,6 +44,9 @@
  * The result line carries every LoopRun field plus the emitted
  * kernel text, so a TCP round trip is bit-identical to the
  * in-process CompileResult (the socket-parity test pins this).
+ * Its parsed= and ok= flags restate status (parsed: not invalid;
+ * ok: status ok): the reader derives them, and run.ok, from
+ * status and rejects a line whose flags disagree with it.
  * The `metrics` response carries every serving counter: the
  * service's snapshot plus the front-end's net.* counters.
  *
@@ -96,8 +100,8 @@ std::string wireRequestToLine(const WireRequest &req);
 
 /**
  * Parse one request line. False on any framing error (bad magic,
- * unknown verb or key, bad escape or integer, missing loop or
- * machine) with @p error naming the offense.
+ * unknown verb or key, a repeated key, bad escape or integer,
+ * missing loop or machine) with @p error naming the offense.
  */
 bool wireRequestFromLine(const std::string &line, WireRequest &out,
                          std::string &error);
@@ -105,7 +109,10 @@ bool wireRequestFromLine(const std::string &line, WireRequest &out,
 /** Serialize a compile result into one response line. */
 std::string wireResultToLine(const CompileResult &result);
 
-/** Parse a result response line; false on framing errors. */
+/**
+ * Parse a result response line; false on framing errors, a
+ * repeated key, or parsed=/ok= flags that disagree with status.
+ */
 bool wireResultFromLine(const std::string &line, CompileResult &out,
                         std::string &error);
 

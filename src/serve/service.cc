@@ -23,7 +23,12 @@ namespace dms {
 
 namespace {
 
-/** One accepted compilation, parsed and ready for a worker. */
+/**
+ * One accepted compilation, parsed and ready for a worker. The
+ * submit path builds it as soon as acquire() makes the request the
+ * owner of a new cache entry, so every later exit (queued, shed or
+ * faulted) resolves that entry through it.
+ */
 struct Job
 {
     std::shared_ptr<CacheEntry> entry;
@@ -42,19 +47,10 @@ struct Job
      * TraceLog. The queue's push/pop pair orders the handoff.
      */
     std::shared_ptr<obs::Trace> trace;
-
-    Job(std::shared_ptr<CacheEntry> e, std::string k,
-        std::uint64_t h, Loop l, MachineModel m, PipelineOptions o,
-        std::shared_ptr<CancelToken> c)
-        : entry(std::move(e)), key(std::move(k)), hash(h),
-          loop(std::move(l)), machine(std::move(m)),
-          options(std::move(o)), cancel(std::move(c))
-    {
-    }
 };
 
 /**
- * Bounded MPMC job queue. push() blocks while the queue is at
+ * Bounded MPMC job queue. push() waits while the queue is at
  * capacity (producer backpressure — the "bounded" in the design);
  * pop() blocks while it is empty and returns false once the queue
  * is stopped *and* drained, so every accepted job is executed
@@ -68,47 +64,29 @@ class JobQueue
     {
     }
 
-    void
-    push(std::unique_ptr<Job> job)
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        notFull_.wait(lock, [&] {
-            return queue_.size() < capacity_ || stopped_;
-        });
-        DMS_ASSERT(!stopped_, "push after CompileService shutdown");
-        queue_.push_back(std::move(job));
-        peak_ = std::max(peak_, queue_.size());
-        notEmpty_.notify_one();
-    }
-
     /**
-     * Bounded-wait push: false (job untouched beyond the wait)
-     * when the queue stayed full for @p maxWaitMs — the load-shed
-     * signal. @p maxWaitMs <= 0 polls once.
+     * Move @p job in, waiting for room: without limit when
+     * @p maxWaitMs < 0, else at most that long (0 polls once).
+     * False, with @p job untouched, when the queue stayed full —
+     * the load-shed signal.
      */
     bool
-    tryPush(std::unique_ptr<Job> &job, int maxWaitMs)
+    push(std::unique_ptr<Job> &job, int maxWaitMs)
     {
         std::unique_lock<std::mutex> lock(mu_);
-        const auto free = [&] {
+        const auto room = [&] {
             return queue_.size() < capacity_ || stopped_;
         };
-        if (!notFull_.wait_for(
-                lock,
-                std::chrono::milliseconds(std::max(maxWaitMs, 0)),
-                free))
+        if (maxWaitMs < 0)
+            notFull_.wait(lock, room);
+        else if (!notFull_.wait_for(
+                     lock, std::chrono::milliseconds(maxWaitMs), room))
             return false;
         DMS_ASSERT(!stopped_, "push after CompileService shutdown");
         queue_.push_back(std::move(job));
         peak_ = std::max(peak_, queue_.size());
         notEmpty_.notify_one();
         return true;
-    }
-
-    size_t
-    capacity() const
-    {
-        return capacity_;
     }
 
     bool
@@ -197,6 +175,68 @@ appendOptionsKey(std::string &key, const PipelineOptions &po)
 /** Room reserved for appendOptionsKey's part of a key. */
 constexpr size_t kOptionsKeyBytes = 192;
 
+/**
+ * Owner of a request's trace while this thread holds it: finishes
+ * the trace and commits it to the TraceLog on scope exit, unless
+ * ownership moved on (into a queued job).
+ */
+struct TraceCommit
+{
+    std::shared_ptr<obs::Trace> trace;
+
+    TraceCommit() = default;
+    explicit TraceCommit(std::shared_ptr<obs::Trace> t)
+        : trace(std::move(t))
+    {
+    }
+    TraceCommit(const TraceCommit &) = delete;
+    TraceCommit &operator=(const TraceCommit &) = delete;
+
+    ~TraceCommit()
+    {
+        if (trace != nullptr) {
+            trace->finish();
+            obs::TraceLog::instance().commit(std::move(trace));
+        }
+    }
+};
+
+/** The service's one CompileResult constructor. */
+std::shared_ptr<CompileResult>
+makeResult(CompileStatus status, std::string error = std::string(),
+           std::string failSite = std::string())
+{
+    auto result = std::make_shared<CompileResult>();
+    result->status = status;
+    result->error = std::move(error);
+    result->failSite = std::move(failSite);
+    deriveResultFlags(*result);
+    return result;
+}
+
+/**
+ * The fault boundary's verdict on an exception that interrupted a
+ * request, for the worker and the submit path alike: an
+ * InjectedFault is Failed at its site, a CancelledError is
+ * Expired, anything else is Failed. @p note gets the annotation of
+ * the trace's failed root span.
+ */
+std::shared_ptr<CompileResult>
+interruptedResult(const std::exception &e, std::string &note)
+{
+    if (const auto *fault = dynamic_cast<const InjectedFault *>(&e)) {
+        note = fault->site();
+        return makeResult(CompileStatus::Failed, e.what(),
+                          fault->site());
+    }
+    if (dynamic_cast<const CancelledError *>(&e) != nullptr) {
+        note = "cancelled";
+        return makeResult(CompileStatus::Expired, e.what());
+    }
+    note = "exception";
+    return makeResult(CompileStatus::Failed, e.what());
+}
+
 } // namespace
 
 ServeOptions
@@ -239,6 +279,14 @@ compileStatusName(CompileStatus status)
     return "unknown";
 }
 
+void
+deriveResultFlags(CompileResult &result)
+{
+    result.parsed = result.status != CompileStatus::Invalid;
+    result.ok = result.status == CompileStatus::Ok;
+    result.run.ok = result.ok;
+}
+
 struct CompileService::Impl
 {
     explicit Impl(const ServeOptions &o)
@@ -246,19 +294,7 @@ struct CompileService::Impl
           cache(o.shards, o.cacheCapacity),
           aliases(o.shards, o.cacheCapacity),
           workerCount(o.workers > 0 ? o.workers
-                                    : defaultJobs()),
-          requests(metricsReg.counter("serve.requests")),
-          hits(metricsReg.counter("serve.hits")),
-          coalesced(metricsReg.counter("serve.coalesced")),
-          misses(metricsReg.counter("serve.misses")),
-          invalid(metricsReg.counter("serve.invalid")),
-          failed(metricsReg.counter("serve.failed")),
-          expired(metricsReg.counter("serve.expired")),
-          shed(metricsReg.counter("serve.shed")),
-          quarantined(metricsReg.counter("serve.quarantined")),
-          schedAttempts(
-              metricsReg.counter("serve.sched_attempts")),
-          latenciesMs(metricsReg.histogram("serve.latency_ms"))
+                                    : defaultJobs())
     {
         // Honor DMS_FAULTS and DMS_TRACE for any binary hosting a
         // service, so the chaos and tracing surfaces (CI smoke,
@@ -294,14 +330,13 @@ struct CompileService::Impl
     void
     execute(Job &job, CompilationContext &ctx)
     {
-        auto result = std::make_shared<CompileResult>();
-        result->parsed = true;
-        std::shared_ptr<obs::Trace> trace = std::move(job.trace);
-        obs::Trace *tr = trace.get();
+        TraceCommit commit(std::move(job.trace));
+        obs::Trace *tr = commit.trace.get();
+        std::shared_ptr<CompileResult> result;
 
         // A throwing compile must resolve the request as a
         // structured result, never unwind the worker thread: the
-        // catch blocks below are the service's fault boundary.
+        // catch below is the worker's fault boundary.
         try {
             // The compile span wraps the whole fault boundary so
             // an injected fault or deadline expiry unwinds through
@@ -317,101 +352,95 @@ struct CompileService::Impl
             Pipeline pipeline(job.options);
             ctx.cancel = job.cancel.get();
             ctx.trace = tr;
-            result->run =
+            const LoopRun run =
                 runLoop(pipeline, job.loop, job.machine, ctx);
-            ctx.trace = nullptr;
-            ctx.cancel = nullptr;
             // ctx.result is this request's scheduler outcome only
             // on the non-throwing path (contexts are reused), so
             // the attempt counter accumulates here.
             schedAttempts.inc(static_cast<std::uint64_t>(
                 std::max(ctx.result.sched.attempts, 0)));
-            result->ok = result->run.ok;
-            result->status = result->ok
-                                 ? CompileStatus::Ok
-                                 : CompileStatus::Unschedulable;
-            if (result->ok && job.options.codegen) {
+            result = makeResult(run.ok ? CompileStatus::Ok
+                                       : CompileStatus::Unschedulable);
+            result->run = run;
+            if (run.ok && job.options.codegen) {
                 result->kernelText = emitPipelinedCode(
                     ctx.scheduledDdg(), job.machine, ctx.kernel,
                     ctx.queuesValid ? &ctx.queues : nullptr);
             }
-        } catch (const CancelledError &e) {
-            ctx.trace = nullptr;
-            ctx.cancel = nullptr;
-            result->status = CompileStatus::Expired;
-            result->error = e.what();
-            if (tr != nullptr)
-                tr->failSpan(0, "cancelled");
-        } catch (const InjectedFault &e) {
-            ctx.trace = nullptr;
-            ctx.cancel = nullptr;
-            result->status = CompileStatus::Failed;
-            result->error = e.what();
-            result->failSite = e.site();
-            if (tr != nullptr)
-                tr->failSpan(0, e.site());
         } catch (const std::exception &e) {
-            ctx.trace = nullptr;
-            ctx.cancel = nullptr;
-            result->status = CompileStatus::Failed;
-            result->error = e.what();
+            std::string note;
+            result = interruptedResult(e, note);
             if (tr != nullptr)
-                tr->failSpan(0, "exception");
+                tr->failSpan(0, note);
         }
+        ctx.trace = nullptr;
+        ctx.cancel = nullptr;
 
-        finishCompile(job.entry, job.key, job.hash,
-                      std::move(result));
-
-        if (trace != nullptr) {
-            trace->finish();
-            obs::TraceLog::instance().commit(std::move(trace));
-        }
+        finishCompile(job, std::move(result));
     }
 
     /**
-     * Resolve @p entry with @p result and do the fault-tolerance
-     * bookkeeping: failed/expired counters, poison tracking for
-     * the quarantine, and retirement of non-cacheable outcomes so
-     * the next same-key request retries instead of deadlocking on
-     * a dead future. Shared by workers and the shed/fault paths
-     * of submit (which also own an unresolved entry).
+     * Resolve @p job's cache entry with @p result: the one exit of
+     * every request that owns an entry (worker, shed, submit-path
+     * fault). Counts the outcome, tracks poison for the
+     * quarantine, and retires non-cacheable outcomes so the next
+     * same-key request retries instead of deadlocking on a dead
+     * future.
      */
     void
-    finishCompile(const std::shared_ptr<CacheEntry> &entry,
-                  const std::string &key, std::uint64_t hash,
-                  std::shared_ptr<CompileResult> result)
+    finishCompile(const Job &job, std::shared_ptr<CompileResult> result)
     {
         const CompileStatus status = result->status;
-        switch (status) {
-        case CompileStatus::Failed:
-            failed.inc();
-            notePoison(key, /*compileFailed=*/true);
-            break;
-        case CompileStatus::Expired:
-            expired.inc();
-            notePoison(key, /*compileFailed=*/false);
-            break;
-        case CompileStatus::Ok:
-        case CompileStatus::Unschedulable:
-            clearPoison(key);
-            break;
-        default:
-            break;
-        }
-
+        count(status);
         const bool cacheable = status == CompileStatus::Ok ||
                                status == CompileStatus::Unschedulable;
+        if (cacheable)
+            clearPoison(job.key);
+        else if (status == CompileStatus::Failed ||
+                 status == CompileStatus::Expired)
+            notePoison(job.key,
+                       /*compileFailed=*/status == CompileStatus::Failed);
         // Publish order matters twice over: failed before ready so
         // no lookup ever classifies a dead entry as a Hit, and
         // ready before set_value so a concurrent acquire() that
         // saw ready==false still blocks on the future — never the
         // other way around.
+        CacheEntry &entry = *job.entry;
         if (!cacheable)
-            entry->failed.store(true, std::memory_order_release);
-        entry->ready.store(true, std::memory_order_release);
-        entry->promise.set_value(std::move(result));
+            entry.failed.store(true, std::memory_order_release);
+        entry.ready.store(true, std::memory_order_release);
+        entry.promise.set_value(std::move(result));
         if (!cacheable)
-            cache.retire(key, hash, entry);
+            cache.retire(job.key, job.hash, job.entry);
+    }
+
+    /**
+     * Bump @p status's outcome counter: the only place the five
+     * outcome counters move. Ok and Unschedulable have none.
+     */
+    void
+    count(CompileStatus status)
+    {
+        switch (status) {
+        case CompileStatus::Ok:
+        case CompileStatus::Unschedulable:
+            break;
+        case CompileStatus::Invalid:
+            invalid.inc();
+            break;
+        case CompileStatus::Failed:
+            failed.inc();
+            break;
+        case CompileStatus::Expired:
+            expired.inc();
+            break;
+        case CompileStatus::Rejected:
+            shed.inc();
+            break;
+        case CompileStatus::Quarantined:
+            quarantined.inc();
+            break;
+        }
     }
 
     /** Consecutive-failure tracking behind the quarantine. */
@@ -485,25 +514,24 @@ struct CompileService::Impl
     std::vector<std::thread> workers;
 
     /**
-     * The telemetry cells, all registered here. Hot paths hold the
-     * direct references below — one relaxed fetch_add per count,
-     * one wait-free histogram record per latency; no mutex on any
-     * request path.
+     * The telemetry cells, swept by metrics(): one relaxed
+     * fetch_add per count, one wait-free histogram record per
+     * latency; no mutex on any request path.
      */
-    obs::MetricsRegistry metricsReg;
-    obs::Counter &requests;
-    obs::Counter &hits;
-    obs::Counter &coalesced;
-    obs::Counter &misses;
-    obs::Counter &invalid;
-    obs::Counter &failed;
-    obs::Counter &expired;
-    obs::Counter &shed;
-    obs::Counter &quarantined;
+    obs::Counter requests;
+    obs::Counter hits;
+    obs::Counter coalesced;
+    obs::Counter misses;
+    /** Outcome counters; only count() moves them. */
+    obs::Counter invalid;
+    obs::Counter failed;
+    obs::Counter expired;
+    obs::Counter shed;
+    obs::Counter quarantined;
     /** Ladder attempts of completed compiles (ims/dms alike). */
-    obs::Counter &schedAttempts;
+    obs::Counter schedAttempts;
     /** End-to-end compile() latency; fixed memory, lock-free. */
-    obs::LatencyHistogram &latenciesMs;
+    obs::LatencyHistogram latenciesMs;
 
     /**
      * Overload indicator: shed -> true; a push that observes the
@@ -628,21 +656,10 @@ CompileService::Impl::submitImpl(const CompileRequest &request,
     Ticket ticket;
 
     // Per-request trace, created only when armed (one relaxed
-    // load on the disarmed path). The guard commits the finished
-    // trace on every return and every throw out of this frame —
-    // except when ownership was handed to a worker via the job.
-    struct TraceCommit
-    {
-        std::shared_ptr<obs::Trace> trace;
-        ~TraceCommit()
-        {
-            if (trace != nullptr) {
-                trace->finish();
-                obs::TraceLog::instance().commit(
-                    std::move(trace));
-            }
-        }
-    } commit;
+    // load on the disarmed path). The guard commits it on every
+    // return and every throw out of this frame, except when a
+    // worker took it over with the job.
+    TraceCommit commit;
     obs::Trace *tr = nullptr;
     if (obs::traceArmed()) {
         commit.trace = std::make_shared<obs::Trace>();
@@ -650,25 +667,28 @@ CompileService::Impl::submitImpl(const CompileRequest &request,
         tr->openSpan("request");
     }
 
-    auto immediate = [&](CompileStatus status, std::string why,
-                         std::string failSite = std::string()) {
-        auto result = std::make_shared<CompileResult>();
-        result->status = status;
-        result->parsed = status != CompileStatus::Invalid;
-        result->error = std::move(why);
-        result->failSite = std::move(failSite);
+    // Answers a request that owns no cache entry: Invalid,
+    // Quarantined, or a fault before acquire().
+    auto immediate = [&](std::shared_ptr<CompileResult> result) {
+        count(result->status);
         std::promise<ResultPtr> p;
         p.set_value(std::move(result));
         ticket.future = p.get_future().share();
         return ticket;
     };
+    // Answers a request from an existing entry: a Hit when it is
+    // ready, else Coalesced onto the compile in flight.
+    auto cached = [&](bool ready) {
+        ticket.source = ready ? Source::Hit : Source::Coalesced;
+        (ready ? hits : coalesced).inc();
+        return ticket;
+    };
 
-    // If a submit-path fault fires after this request created the
-    // cache entry, the entry must still be resolved and retired —
-    // otherwise coalesced waiters hang on a future nobody owns.
-    std::shared_ptr<CacheEntry> owned;
-    std::string ownedKey;
-    std::uint64_t ownedHash = 0;
+    // Non-null from the moment acquire() makes this request the
+    // owner of a new cache entry until the queue takes the job: a
+    // shed or a fault in between must still resolve and retire the
+    // entry, or coalesced waiters hang on a future nobody owns.
+    std::unique_ptr<Job> job;
 
     try {
         // Fast path: a verbatim repeat of an earlier request
@@ -692,14 +712,7 @@ CompileService::Impl::submitImpl(const CompileRequest &request,
         if (alias != nullptr) {
             ticket.future = alias->future;
             ticket.key = raw_hash;
-            if (alias->ready.load(std::memory_order_acquire)) {
-                ticket.source = Source::Hit;
-                hits.inc();
-            } else {
-                ticket.source = Source::Coalesced;
-                coalesced.inc();
-            }
-            return ticket;
+            return cached(alias->ready.load(std::memory_order_acquire));
         }
 
         // Reject bad request data without involving a worker: a
@@ -707,9 +720,9 @@ CompileService::Impl::submitImpl(const CompileRequest &request,
         // so everything data-dependent — both texts, the
         // scheduler choice, and the pipeline-reachable panics
         // (validateRequest) — is answered with an error result.
-        auto reject = [&](std::string why) -> Ticket {
-            invalid.inc();
-            return immediate(CompileStatus::Invalid, std::move(why));
+        auto reject = [&](std::string why) {
+            return immediate(
+                makeResult(CompileStatus::Invalid, std::move(why)));
         };
 
         // Canonicalize: parse both texts and re-serialize, so
@@ -768,12 +781,11 @@ CompileService::Impl::submitImpl(const CompileRequest &request,
         ticket.key = fnv1a64(key);
 
         if (quarantineReject(key)) {
-            quarantined.inc();
-            return immediate(
+            return immediate(makeResult(
                 CompileStatus::Quarantined,
                 strfmt("key quarantined after %d consecutive "
                        "failures",
-                       opts.quarantineAfter));
+                       opts.quarantineAfter)));
         }
 
         std::shared_ptr<CacheEntry> entry;
@@ -783,39 +795,25 @@ CompileService::Impl::submitImpl(const CompileRequest &request,
             found = cache.acquire(key, ticket.key, entry);
             ticket.future = entry->future;
             if (found == ResultCache::Lookup::Inserted) {
-                owned = entry;
-                ownedKey = key;
-                ownedHash = ticket.key;
+                job.reset(new Job{entry, std::move(key), ticket.key,
+                                  std::move(loop), std::move(machine),
+                                  std::move(options), nullptr,
+                                  nullptr});
             }
             faultPoint("serve.cache.insert");
             aliases.insertAlias(raw_key, raw_hash, entry);
         }
-        switch (found) {
-        case ResultCache::Lookup::Hit:
-            ticket.source = Source::Hit;
-            hits.inc();
-            return ticket;
-        case ResultCache::Lookup::InFlight:
-            ticket.source = Source::Coalesced;
-            coalesced.inc();
-            return ticket;
-        case ResultCache::Lookup::Inserted:
-            break;
-        }
+        if (found != ResultCache::Lookup::Inserted)
+            return cached(found == ResultCache::Lookup::Hit);
         misses.inc();
 
-        std::shared_ptr<CancelToken> cancel;
         if (request.deadlineMs > 0) {
-            cancel = std::make_shared<CancelToken>();
-            cancel->setDeadline(
+            job->cancel = std::make_shared<CancelToken>();
+            job->cancel->setDeadline(
                 std::chrono::steady_clock::now() +
                 std::chrono::milliseconds(request.deadlineMs));
-            ticket.cancel = cancel;
+            ticket.cancel = job->cancel;
         }
-        std::unique_ptr<Job> job(
-            new Job(entry, key, ticket.key, std::move(loop),
-                    std::move(machine), std::move(options),
-                    std::move(cancel)));
 
         {
             // The span closes before the handoff below: once the
@@ -825,66 +823,35 @@ CompileService::Impl::submitImpl(const CompileRequest &request,
             faultPoint("serve.queue.push");
         }
         job->trace = std::move(commit.trace);
-        bool pushed = true;
-        if (shedWaitMs >= 0)
-            pushed = queue.tryPush(job, shedWaitMs);
-        else
-            queue.push(std::move(job));
-        if (!pushed) {
-            // Shed. The entry this request created must resolve
-            // (coalesced waiters!) and retire so the next request
-            // for the key retries. The unconsumed job hands the
-            // trace back for this thread to commit.
+        if (!queue.push(job, shedWaitMs)) {
+            // Shed: the job was not consumed, so it hands the trace
+            // back for this thread to commit, and its entry resolves
+            // and retires so the next request for the key retries.
             commit.trace = std::move(job->trace);
             if (tr != nullptr)
                 tr->failSpan(0, "shed");
-            shed.inc();
             degraded.store(true, std::memory_order_release);
-            auto result = std::make_shared<CompileResult>();
-            result->status = CompileStatus::Rejected;
-            result->parsed = true;
-            result->error = strfmt(
-                "queue full (%d deep): request shed after %d ms",
-                opts.queueDepth, shedWaitMs);
-            finishCompile(entry, key, ticket.key,
-                          std::move(result));
+            finishCompile(
+                *job, makeResult(CompileStatus::Rejected,
+                                 strfmt("queue full (%d deep): request "
+                                        "shed after %d ms",
+                                        opts.queueDepth, shedWaitMs)));
             return ticket;
         }
         if (degraded.load(std::memory_order_relaxed) &&
             queue.depth() * 2 <= opts.queueDepth)
             degraded.store(false, std::memory_order_release);
         return ticket;
-    } catch (const InjectedFault &e) {
+    } catch (const std::exception &e) {
+        std::string note;
+        std::shared_ptr<CompileResult> result =
+            interruptedResult(e, note);
         if (tr != nullptr)
-            tr->failSpan(0, e.site());
-        if (owned != nullptr) {
-            auto result = std::make_shared<CompileResult>();
-            result->status = CompileStatus::Failed;
-            result->parsed = true;
-            result->error = e.what();
-            result->failSite = e.site();
-            finishCompile(owned, ownedKey, ownedHash,
-                          std::move(result));
-            ticket.future = owned->future;
-            return ticket;
-        }
-        failed.inc();
-        return immediate(CompileStatus::Failed, e.what(), e.site());
-    } catch (const CancelledError &e) {
-        if (tr != nullptr)
-            tr->failSpan(0, "cancelled");
-        if (owned != nullptr) {
-            auto result = std::make_shared<CompileResult>();
-            result->status = CompileStatus::Expired;
-            result->parsed = true;
-            result->error = e.what();
-            finishCompile(owned, ownedKey, ownedHash,
-                          std::move(result));
-            ticket.future = owned->future;
-            return ticket;
-        }
-        expired.inc();
-        return immediate(CompileStatus::Expired, e.what());
+            tr->failSpan(0, note);
+        if (job == nullptr)
+            return immediate(std::move(result));
+        finishCompile(*job, std::move(result));
+        return ticket;
     }
 }
 
@@ -909,13 +876,10 @@ CompileService::compile(const CompileRequest &request, int maxWaitMs)
         // entry) and answer this caller right now.
         if (ticket.cancel != nullptr)
             ticket.cancel->cancel();
-        auto expired = std::make_shared<CompileResult>();
-        expired->status = CompileStatus::Expired;
-        expired->parsed = true;
-        expired->error = strfmt("deadline of %d ms exceeded",
-                                request.deadlineMs);
-        impl_->expired.inc();
-        result = std::move(expired);
+        result = makeResult(CompileStatus::Expired,
+                            strfmt("deadline of %d ms exceeded",
+                                   request.deadlineMs));
+        impl_->count(CompileStatus::Expired);
     } else {
         result = ticket.future.get();
     }
@@ -930,26 +894,37 @@ CompileService::compile(const CompileRequest &request, int maxWaitMs)
 obs::MetricsSnapshot
 CompileService::metrics() const
 {
-    // The registry sweeps its histograms before its counters, so
-    // serve.latency_ms.count <= serve.requests holds even against
-    // concurrent recording — the identity obs.metrics-consistency
-    // lints.
-    obs::MetricsSnapshot snap = impl_->metricsReg.snapshot();
+    const Impl &im = *impl_;
+    obs::MetricsSnapshot snap;
+    // The histogram before the counters: a latency is recorded
+    // after its request was counted, so this order keeps
+    // serve.latency_ms.count <= serve.requests (an identity
+    // obs.metrics-consistency lints) even against concurrent
+    // recording.
+    snap.addHistogram("serve.latency_ms", im.latenciesMs.snapshot());
+    snap.addCounter("serve.requests", im.requests.value());
+    snap.addCounter("serve.hits", im.hits.value());
+    snap.addCounter("serve.coalesced", im.coalesced.value());
+    snap.addCounter("serve.misses", im.misses.value());
+    snap.addCounter("serve.invalid", im.invalid.value());
+    snap.addCounter("serve.failed", im.failed.value());
+    snap.addCounter("serve.expired", im.expired.value());
+    snap.addCounter("serve.shed", im.shed.value());
+    snap.addCounter("serve.quarantined", im.quarantined.value());
+    snap.addCounter("serve.sched_attempts", im.schedAttempts.value());
     snap.addCounter("cache.evictions",
-                    impl_->cache.evictions() +
-                        impl_->aliases.evictions());
-    snap.addCounter("cache.retired", impl_->cache.retired() +
-                                         impl_->aliases.retired());
+                    im.cache.evictions() + im.aliases.evictions());
+    snap.addCounter("cache.retired",
+                    im.cache.retired() + im.aliases.retired());
     snap.addGauge("cache.entries",
-                  static_cast<double>(impl_->cache.size()));
+                  static_cast<double>(im.cache.size()));
     snap.addGauge("serve.degraded",
-                  impl_->degraded.load(std::memory_order_relaxed)
-                      ? 1.0
-                      : 0.0);
+                  im.degraded.load(std::memory_order_relaxed) ? 1.0
+                                                               : 0.0);
     snap.addGauge("serve.queue_depth",
-                  static_cast<double>(impl_->queue.depth()));
+                  static_cast<double>(im.queue.depth()));
     snap.addGauge("serve.queue_depth_peak",
-                  static_cast<double>(impl_->queue.peak()));
+                  static_cast<double>(im.queue.peak()));
     snap.addGauge("serve.queue_capacity",
                   static_cast<double>(opts_.queueDepth));
     for (const FaultSiteStats &f : faultStats()) {

@@ -121,19 +121,19 @@ inline constexpr size_t kCompileStatusCount =
 /** Lowercase status name, e.g. "quarantined". */
 const char *compileStatusName(CompileStatus status);
 
-/** What the service returns (and caches) for one request. */
+/**
+ * What the service returns (and caches) for one request. The
+ * parsed and ok flags restate status: deriveResultFlags() sets
+ * them, for every result the service builds and every result line
+ * the wire reader accepts. They stay only until a benchmark change
+ * drops perfbench's use of them.
+ */
 struct CompileResult
 {
     /** The terminal status; every other field derives from it. */
     CompileStatus status = CompileStatus::Invalid;
 
-    /**
-     * False when the request was rejected before compilation:
-     * malformed loop or machine text, an unknown scheduler name,
-     * or a scheduler that does not support the machine. Rejected
-     * requests are never cached. (Kept alongside status for the
-     * pre-fault-tolerance callers: parsed == status != Invalid.)
-     */
+    /** parsed == (status != Invalid). */
     bool parsed = false;
 
     /** Failure reason for every non-Ok status ("line N: ..."). */
@@ -145,7 +145,7 @@ struct CompileResult
      */
     std::string failSite;
 
-    /** Schedule found: ok == (status == Ok). */
+    /** Schedule found: ok == run.ok == (status == Ok). */
     bool ok = false;
 
     /** The sweep-cell summary, identical to the direct-path run. */
@@ -157,6 +157,9 @@ struct CompileResult
      */
     std::string kernelText;
 };
+
+/** Set @p result's parsed, ok and run.ok from its status. */
+void deriveResultFlags(CompileResult &result);
 
 /**
  * The long-lived compile server. Thread-safe: any number of client

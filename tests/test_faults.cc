@@ -6,11 +6,13 @@
  * one terminal status, the daemon never dies), quarantine of
  * poisoned keys with half-open probing, deadline expiry and its
  * accounting on every client path, load shedding through
- * compile()'s queue wait, and a fuzz of the result cache's
- * eviction/retirement accounting against its conservation law.
+ * compile()'s queue wait, the outcome counters against the result
+ * statuses, and a fuzz of the result cache's eviction/retirement
+ * accounting against its conservation law.
  */
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -518,6 +520,83 @@ TEST(Faults, CompileShedsWhenTheQueueStaysFull)
     EXPECT_EQ(degraded->value, 1.0);
     expectMetricsConsistent(service, "shed");
     disarmFaults();
+}
+
+/**
+ * Each outcome counter equals the number of results with its
+ * status. Unique cold loops give no hits and no coalescing, and
+ * without a deadline no caller gives up early, so every request
+ * resolves exactly once: the fault boundary on the submit path and
+ * in the worker, the shed path, and the compiles that succeed.
+ */
+TEST(Faults, OutcomeCountersMatchResultStatuses)
+{
+    FaultGuard guard;
+    FaultPlan plan;
+    // Listed first, so it wins over pipeline.* below: every
+    // compile holds the one worker for 2 ms and the queue fills.
+    plan.add({"pipeline.unroll", 1.0, 31, FaultKind::Delay, 2000});
+    plan.add({"serve.cache.lookup", 0.1, 32, FaultKind::Error, 0});
+    plan.add({"serve.cache.insert", 0.1, 33, FaultKind::Error, 0});
+    plan.add({"serve.queue.push", 0.1, 34, FaultKind::Cancel, 0});
+    plan.add({"serve.worker.compile", 0.1, 35, FaultKind::Error,
+              0});
+    plan.add({"pipeline.*", 0.1, 36, FaultKind::Cancel, 0});
+    armFaults(plan);
+
+    ServeOptions so;
+    so.workers = 1;
+    so.queueDepth = 1;
+    CompileService service(so);
+    const std::string machine_text =
+        machineToText(MachineModel::clusteredRing(4));
+
+    constexpr int kThreads = 4;
+    constexpr int kPerThread = 40;
+    std::vector<CompileService::ResultPtr> results(kThreads *
+                                                   kPerThread);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int j = 0; j < kPerThread; ++j) {
+                const int i = t * kPerThread + j;
+                CompileRequest req;
+                req.loopText = coldLoopText(0x0c7ULL, i);
+                req.machineText = machine_text;
+                req.options.scheduler = "dms";
+                results[static_cast<size_t>(i)] =
+                    service.compile(req, /*maxWaitMs=*/0);
+            }
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+
+    std::array<std::uint64_t, kCompileStatusCount> byStatus{};
+    for (const CompileService::ResultPtr &r : results) {
+        ASSERT_NE(r, nullptr);
+        SCOPED_TRACE(compileStatusName(r->status));
+        EXPECT_EQ(r->parsed, r->status != CompileStatus::Invalid);
+        EXPECT_EQ(r->ok, r->status == CompileStatus::Ok);
+        EXPECT_EQ(r->run.ok, r->ok);
+        ++byStatus[static_cast<size_t>(r->status)];
+    }
+    const auto n = [&](CompileStatus status) {
+        return byStatus[static_cast<size_t>(status)];
+    };
+    EXPECT_EQ(counter(service, "serve.failed"), n(CompileStatus::Failed));
+    EXPECT_EQ(counter(service, "serve.expired"),
+              n(CompileStatus::Expired));
+    EXPECT_EQ(counter(service, "serve.shed"), n(CompileStatus::Rejected));
+    EXPECT_EQ(counter(service, "serve.invalid"),
+              n(CompileStatus::Invalid));
+    EXPECT_EQ(counter(service, "serve.quarantined"),
+              n(CompileStatus::Quarantined));
+    EXPECT_GT(n(CompileStatus::Ok), 0u);
+    EXPECT_GT(n(CompileStatus::Failed), 0u);
+    EXPECT_GT(n(CompileStatus::Expired), 0u);
+    EXPECT_GT(n(CompileStatus::Rejected), 0u);
+    expectMetricsConsistent(service, "outcomes");
 }
 
 /** The serve.latency_ms sample count of @p service. */

@@ -1,14 +1,15 @@
 /**
  * @file
- * Network front-end tests: wire escape/framing round trips, a
- * deterministic framing-fuzz pass over corrupted request lines
- * (parse or structured reject — never a crash), live-server abuse
- * (garbage lines, oversized lines, mid-request disconnects, a
- * connection flood, descriptor exhaustion) that must leave the
- * daemon serving, the socket-parity pin: a TCP round trip returns
- * results bit-identical to the in-process CompileService, including
- * a cache-hit round trip, and the load generator's two transports
- * agreeing on one mix.
+ * Network front-end tests: wire escape/framing round trips,
+ * repeated keys and result flags that contradict the status
+ * rejected, a deterministic framing-fuzz pass over corrupted
+ * request lines (parse or structured reject — never a crash),
+ * live-server abuse (garbage lines, oversized lines, mid-request
+ * disconnects, a connection flood, descriptor exhaustion) that
+ * must leave the daemon serving, the socket-parity pin: a TCP
+ * round trip returns results bit-identical to the in-process
+ * CompileService, including a cache-hit round trip, and the load
+ * generator's two transports agreeing on one mix.
  */
 
 #include <arpa/inet.h>
@@ -41,6 +42,7 @@
 #include "serve/service.h"
 #include "support/faultinject.h"
 #include "support/rng.h"
+#include "support/strings.h"
 #include "workload/suite.h"
 #include "workload/text.h"
 
@@ -281,10 +283,103 @@ TEST(Wire, ResultLineRejectsOutOfRangeIntegers)
     EXPECT_EQ(error, "bad integer for 'parsed'");
     EXPECT_FALSE(wireResultFromLine(with("ok=1", "ok=-1"), back, error));
     EXPECT_EQ(error, "bad integer for 'ok'");
-    ASSERT_TRUE(
-        wireResultFromLine(with("ok=1", "ok=0"), back, error))
-        << error;
-    EXPECT_FALSE(back.ok);
+    // ok=0 is in range, but contradicts status=ok
+    // (Wire.ResultFlagsMustAgreeWithStatus).
+    EXPECT_FALSE(wireResultFromLine(with("ok=1", "ok=0"), back, error));
+    EXPECT_EQ(error, "parsed=/ok= disagree with status=ok");
+}
+
+TEST(Wire, ResultFlagsMustAgreeWithStatus)
+{
+    CompileResult back;
+    std::string error;
+    EXPECT_FALSE(wireResultFromLine(
+        "dms1\tresult\tstatus=invalid\tparsed=1\tok=1", back, error));
+    EXPECT_EQ(error, "parsed=/ok= disagree with status=invalid");
+
+    // The reader derives parsed, ok and run.ok from status, with
+    // the flags given or not, and rejects either flag flipped.
+    for (size_t st = 0; st < kCompileStatusCount; ++st) {
+        const auto status = static_cast<CompileStatus>(st);
+        SCOPED_TRACE(compileStatusName(status));
+        const int parsed = status != CompileStatus::Invalid ? 1 : 0;
+        const int ok = status == CompileStatus::Ok ? 1 : 0;
+        const std::string head =
+            std::string("dms1\tresult\tstatus=") +
+            compileStatusName(status);
+        const auto flags = [&](int p, int o) {
+            return head + strfmt("\tparsed=%d\tok=%d", p, o);
+        };
+        for (const std::string &line : {head, flags(parsed, ok)}) {
+            back = CompileResult();
+            ASSERT_TRUE(wireResultFromLine(line, back, error))
+                << error;
+            EXPECT_EQ(back.status, status);
+            EXPECT_EQ(back.parsed, parsed == 1);
+            EXPECT_EQ(back.ok, ok == 1);
+            EXPECT_EQ(back.run.ok, ok == 1);
+        }
+        const std::string want =
+            std::string("parsed=/ok= disagree with status=") +
+            compileStatusName(status);
+        EXPECT_FALSE(
+            wireResultFromLine(flags(1 - parsed, ok), back, error));
+        EXPECT_EQ(error, want);
+        EXPECT_FALSE(
+            wireResultFromLine(flags(parsed, 1 - ok), back, error));
+        EXPECT_EQ(error, want);
+    }
+}
+
+TEST(Wire, RequestLineRejectsRepeatedKeys)
+{
+    WireRequest out;
+    std::string error;
+    EXPECT_FALSE(wireRequestFromLine(
+        "dms1\tcompile\tloop=A\tmachine=M\tloop=B", out, error));
+    EXPECT_EQ(error, "duplicate key 'loop'");
+
+    // Every field of a real request line, given a second time.
+    WireRequest req;
+    req.request = kernelRequest("fir8", false);
+    const std::string line = wireRequestToLine(req);
+    ASSERT_TRUE(wireRequestFromLine(line, out, error)) << error;
+    const std::vector<std::string> fields = split(line, '\t');
+    ASSERT_EQ(fields.size(), 12u);
+    for (size_t i = 2; i < fields.size(); ++i) {
+        const std::string key = fields[i].substr(0, fields[i].find('='));
+        EXPECT_FALSE(
+            wireRequestFromLine(line + "\t" + fields[i], out, error))
+            << key;
+        EXPECT_EQ(error, "duplicate key '" + key + "'");
+    }
+}
+
+TEST(Wire, ResultLineRejectsRepeatedKeys)
+{
+    CompileResult back;
+    std::string error;
+    EXPECT_FALSE(wireResultFromLine(
+        "dms1\tresult\tstatus=ok\tstatus=failed", back, error));
+    EXPECT_EQ(error, "duplicate key 'status'");
+
+    // Every field of a real result line, given a second time.
+    CompileResult r;
+    r.status = CompileStatus::Ok;
+    r.parsed = true;
+    r.ok = true;
+    r.run.ii = 7;
+    const std::string line = wireResultToLine(r);
+    ASSERT_TRUE(wireResultFromLine(line, back, error)) << error;
+    const std::vector<std::string> fields = split(line, '\t');
+    ASSERT_EQ(fields.size(), 21u);
+    for (size_t i = 2; i < fields.size(); ++i) {
+        const std::string key = fields[i].substr(0, fields[i].find('='));
+        EXPECT_FALSE(
+            wireResultFromLine(line + "\t" + fields[i], back, error))
+            << key;
+        EXPECT_EQ(error, "duplicate key '" + key + "'");
+    }
 }
 
 TEST(Wire, FramingFuzzNeverCrashesTheParser)
