@@ -43,7 +43,6 @@
 #include "ir/unroll.h"
 #include "sched/ims.h"
 #include "sched/mii.h"
-#include "sched/priority.h"
 #include "sched/verifier.h"
 #include "support/diag.h"
 #include "support/strings.h"
@@ -223,61 +222,6 @@ gateAgainstBaseline(const char *key, double measured,
     return true;
 }
 
-/** Cost of walking every body's height table up an II ladder. */
-struct LadderCost
-{
-    double fullSeconds = 0;  ///< one full relaxation per rung
-    double deltaSeconds = 0; ///< HeightLadder delta steps
-    long rungs = 0;          ///< total (body, II) rungs walked
-    long affectedOps = 0;    ///< sum of per-body affected sets
-    long totalOps = 0;       ///< sum of per-body live op counts
-};
-
-/**
- * Time the ladder-setup cost in isolation: for each prepared body,
- * walk II = RecMII .. RecMII+7 once with a full relaxation per rung
- * and once with the incremental HeightLadder, which is what every
- * DmsAttempt::beginAttempt now pays.
- */
-LadderCost
-timeHeightLadder(const std::vector<Prepared> &work)
-{
-    constexpr int kRungs = 8;
-    LadderCost cost;
-
-    std::vector<int> base;
-    base.reserve(work.size());
-    for (const Prepared &p : work) {
-        base.push_back(std::max(1, recMii(p.body)));
-        cost.totalOps += p.body.liveOpCount();
-    }
-
-    Heights scratch;
-    auto t0 = std::chrono::steady_clock::now();
-    for (size_t i = 0; i < work.size(); ++i) {
-        for (int ii = base[i]; ii < base[i] + kRungs; ++ii)
-            computeHeights(work[i].body, ii, scratch);
-    }
-    auto t1 = std::chrono::steady_clock::now();
-    cost.fullSeconds =
-        std::chrono::duration<double>(t1 - t0).count();
-
-    t0 = std::chrono::steady_clock::now();
-    for (size_t i = 0; i < work.size(); ++i) {
-        HeightLadder fresh;
-        for (int ii = base[i]; ii < base[i] + kRungs; ++ii) {
-            if (!fresh.ensure(work[i].body, ii))
-                fatal("height ladder diverged at II %d", ii);
-        }
-        cost.affectedOps += fresh.affectedOps();
-    }
-    t1 = std::chrono::steady_clock::now();
-    cost.deltaSeconds =
-        std::chrono::duration<double>(t1 - t0).count();
-    cost.rungs = static_cast<long>(work.size()) * kRungs;
-    return cost;
-}
-
 /** Microseconds per problem of each stage around the scheduler. */
 struct StageCost
 {
@@ -447,18 +391,6 @@ main()
                 ims_t.seconds, ims_t.placementsPerSec(),
                 ims_t.attemptsPerSec());
 
-    // Ladder sub-block: height-table setup cost, a full relaxation
-    // per rung vs the incremental HeightLadder.
-    LadderCost ladder = timeHeightLadder(dms_work);
-    std::printf("ladder: %ld rungs, full %.4f s, delta %.4f s "
-                "(%.1fx), %ld/%ld ops II-dependent\n",
-                ladder.rungs, ladder.fullSeconds,
-                ladder.deltaSeconds,
-                ladder.deltaSeconds > 0
-                    ? ladder.fullSeconds / ladder.deltaSeconds
-                    : 0.0,
-                ladder.affectedOps, ladder.totalOps);
-
     // Stages sub-block: the pipeline stages around the scheduler.
     const StageCost dms_stages = timeStages(dms_work, reps);
     const StageCost ims_stages = timeStages(ims_work, reps);
@@ -478,13 +410,6 @@ main()
     appendThroughput(json, "dms", dms_t);
     json += ",";
     appendThroughput(json, "ims", ims_t);
-    json += ",";
-    json += strfmt(
-        "\"ladder\":{\"rungs\":%ld,\"full_seconds\":%.6f,"
-        "\"delta_seconds\":%.6f,\"affected_ops\":%ld,"
-        "\"total_ops\":%ld}",
-        ladder.rungs, ladder.fullSeconds, ladder.deltaSeconds,
-        ladder.affectedOps, ladder.totalOps);
     json += strfmt(
         ",\"stages\":{\"dms\":{\"unroll_us\":%.3f,\"prepass_us\":%.3f,"
         "\"mii_us\":%.3f,\"verify_us\":%.3f},\"ims\":{\"unroll_us\":%.3f,"

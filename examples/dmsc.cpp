@@ -9,22 +9,27 @@
  *
  * Options:
  *   --clusters N    ring size (default 4); 0 = unclustered IMS
- *   --copyfus N     copy units per cluster (default 1)
+ *   --copyfus N     copy units per cluster (default 1; at least 1)
  *   --machine FILE  machine description file (machine/desc.h
  *                   format; overrides --clusters/--copyfus)
  *   --sched NAME    registry scheduler (default: dms on clustered
  *                   machines, ims otherwise)
- *   --unroll N      unroll factor; 0 = automatic policy (default)
+ *   --unroll N      unroll factor, 0..1024; 0 = automatic policy
+ *                   (default)
  *   --emit          print the full pipelined code
  *   --dot           print the (transformed) DDG in Graphviz DOT
  *   --sim N         simulate N iterations against the reference
  *   --share         report queue sharing
+ *
+ * Integer values parse strictly: garbage, trailing junk, a negative
+ * or out-of-range value is fatal and names the flag.
  *
  * Input is either a loop file in the workload/text format (the
  * same format the dmsd compile service accepts, any extension) or
  * one of the built-in kernels, e.g. "kernel:fir8".
  */
 
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -38,6 +43,7 @@
 #include "regalloc/sharing.h"
 #include "sim/exec.h"
 #include "support/diag.h"
+#include "support/strings.h"
 #include "workload/text.h"
 
 namespace {
@@ -79,18 +85,26 @@ main(int argc, char **argv)
                 fatal("%s needs a value", a.c_str());
             return argv[++i];
         };
+        auto nextInt = [&](int lo, int hi) {
+            std::string v = next();
+            int out = 0;
+            if (!parseInt(v, out) || out < lo || out > hi)
+                fatal("bad value '%s' for %s", v.c_str(),
+                      a.c_str());
+            return out;
+        };
         if (a == "--clusters")
-            clusters = std::atoi(next().c_str());
+            clusters = nextInt(0, INT_MAX);
         else if (a == "--copyfus")
-            copy_fus = std::atoi(next().c_str());
+            copy_fus = nextInt(1, INT_MAX);
         else if (a == "--machine")
             machine_file = next();
         else if (a == "--sched")
             sched_name = next();
         else if (a == "--unroll")
-            unroll = std::atoi(next().c_str());
+            unroll = nextInt(0, 1024); // validateRequest's range
         else if (a == "--sim")
-            sim_iters = std::atol(next().c_str());
+            sim_iters = nextInt(0, INT_MAX);
         else if (a == "--emit")
             emit = true;
         else if (a == "--dot")

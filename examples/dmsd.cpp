@@ -19,8 +19,8 @@
  *                                    load generator, over sockets
  *
  * Options:
- *   --workers N    service worker threads (default: DMS_SERVE_WORKERS
- *                  env, else hardware concurrency)
+ *   --workers N    service worker threads (default: DMS_JOBS env,
+ *                  else hardware concurrency)
  *   --clients N    concurrent client threads (default 4)
  *   --machine FILE default machine description (default: the
  *                  paper's 4-cluster queue-file ring)
@@ -49,7 +49,6 @@
  * Every mode ends with a serving report (serve:, cache:, faults:,
  * net: and latency: lines) read off the final metrics snapshot —
  * in --connect mode the daemon's, fetched with the `metrics` verb.
- * DMS_METRICS=1 additionally prints the snapshot text to stdout.
  *
  * With DMS_FAULTS armed (see support/faultinject.h) dmsd prints
  * the per-site injection counters and treats fault-driven
@@ -71,9 +70,9 @@
  * non-Ok request makes the exit code 1; with DMS_FAULTS armed only
  * invalid ones do.
  *
- * The service's queue depth, shard count and cache capacity come
- * from the DMS_SERVE_QUEUE_DEPTH / DMS_SERVE_SHARDS /
- * DMS_SERVE_CACHE_CAP environment knobs (strictly parsed).
+ * The service's queue depth and cache capacity come from the
+ * DMS_SERVE_QUEUE_DEPTH / DMS_SERVE_CACHE_CAP environment knobs
+ * (strictly parsed).
  */
 
 #include <algorithm>
@@ -155,7 +154,7 @@ gaugeOf(const obs::MetricsSnapshot &m, const char *name)
 /**
  * End-of-run output shared by every mode: the serving report read
  * off @p m, then the snapshot's dmsmetrics v1 text to
- * --metrics-out and/or stdout (DMS_METRICS=1).
+ * --metrics-out.
  */
 void
 reportMetrics(const obs::MetricsSnapshot &m,
@@ -244,11 +243,8 @@ reportMetrics(const obs::MetricsSnapshot &m,
                     static_cast<unsigned long long>(h.count));
     }
 
-    const std::string text = obs::metricsToText(m);
-    if (envInt("DMS_METRICS", 0, 0) > 0)
-        std::fputs(text.c_str(), stdout);
     if (!metrics_out.empty())
-        writeTextFile(metrics_out, text);
+        writeTextFile(metrics_out, obs::metricsToText(m));
 }
 
 /**

@@ -246,8 +246,9 @@ class HeightConsistencyCheck final : public BuiltinCheck
             return; // sched.resource-overuse reports this
         // Independent relaxation, deliberately unlike the
         // production code in sched/priority.cc: ascending-id
-        // Bellman-Ford sweeps instead of a descending worklist, so
-        // a bug in the delta-height ladder cannot echo here.
+        // Bellman-Ford sweeps with a sweep bound instead of
+        // descending sweeps with a step budget, so a bug in
+        // tryComputeHeights cannot echo here.
         std::vector<long> naive(
             static_cast<size_t>(ddg.numOps()), 0);
         long sweeps = static_cast<long>(ddg.numOps()) + 2;
@@ -289,7 +290,7 @@ class HeightConsistencyCheck final : public BuiltinCheck
         if (!tryComputeHeights(ddg, ii, produced)) {
             sink.report(
                 id(), Severity::Error, artifact(), DiagLocation(),
-                strfmt("computeHeights diverges at II %d but an "
+                strfmt("tryComputeHeights diverges at II %d but an "
                        "independent relaxation converges",
                        ii));
             return;

@@ -104,14 +104,6 @@ ChainRegistry::chainsTouching(const Ddg &, OpId op,
     }
 }
 
-std::vector<int>
-ChainRegistry::chainsTouching(const Ddg &ddg, OpId op) const
-{
-    std::vector<int> out;
-    chainsTouching(ddg, op, out);
-    return out;
-}
-
 const Chain &
 ChainRegistry::chain(int id) const
 {

@@ -104,13 +104,7 @@ class ChainRegistry
     void chainsTouching(const Ddg &ddg, OpId op,
                         std::vector<int> &out) const;
 
-    /** Allocating convenience overload of the above. */
-    std::vector<int> chainsTouching(const Ddg &ddg, OpId op) const;
-
     const Chain &chain(int id) const;
-
-    /** Number of chains ever created (dissolved ones included). */
-    int numChains() const { return static_cast<int>(chains_.size()); }
 
     /** Count of live (not dissolved) chains. */
     int liveChainCount() const;

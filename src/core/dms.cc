@@ -87,13 +87,8 @@ class DmsAttempt
         ddg_->resetTo(original_);
         ps_->reset(ii);
         chains_.reset();
-        // The graph is back to its original shape, so the ladder
-        // reuses heights verbatim across restarts and delta-steps
-        // across II increments.
-        if (!ladder_.ensure(*ddg_, ii))
+        if (!tryComputeHeights(*ddg_, ii, heights_))
             return false;
-        heights_.assign(ladder_.heights().begin(),
-                        ladder_.heights().end());
         worklist_.build(*ddg_, heights_);
         return true;
     }
@@ -509,7 +504,6 @@ class DmsAttempt
     std::unique_ptr<Ddg> ddg_;
     std::unique_ptr<PartialSchedule> ps_;
     ChainRegistry chains_;
-    HeightLadder ladder_;
     Heights heights_;
     Worklist worklist_;
 

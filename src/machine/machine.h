@@ -228,10 +228,6 @@ class MachineModel
      */
     void pathBetween(ClusterId a, ClusterId b, int dir,
                      std::vector<ClusterId> &out) const;
-
-    /** Allocating convenience overload of the above. */
-    std::vector<ClusterId> pathBetween(ClusterId a, ClusterId b,
-                                       int dir) const;
     /// @}
 
     /** Human-readable description, e.g. "4-cluster ring (12 FUs)". */

@@ -113,14 +113,6 @@ MachineModel::pathBetween(ClusterId a, ClusterId b, int dir,
     }
 }
 
-std::vector<ClusterId>
-MachineModel::pathBetween(ClusterId a, ClusterId b, int dir) const
-{
-    std::vector<ClusterId> mid;
-    pathBetween(a, b, dir, mid);
-    return mid;
-}
-
 int
 MachineModel::linksPerCluster() const
 {

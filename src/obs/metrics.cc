@@ -13,21 +13,6 @@ namespace obs {
 
 namespace {
 
-/** Strict full-consumption uint64 parse (no sign, no garbage). */
-bool
-parseU64(const std::string &s, std::uint64_t &out)
-{
-    if (s.empty() || s[0] == '-' || s[0] == '+')
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (errno != 0 || end != s.c_str() + s.size())
-        return false;
-    out = static_cast<std::uint64_t>(v);
-    return true;
-}
-
 /** Strict full-consumption finite double parse. */
 bool
 parseF64(const std::string &s, double &out)

@@ -21,7 +21,7 @@ namespace {
 /** Scratch arenas reused across the whole II ladder of one run. */
 struct ImsArena
 {
-    HeightLadder ladder;
+    Heights heights;
     Worklist worklist;
     std::vector<OpId> evicted;
     std::vector<OpId> violated;
@@ -32,13 +32,12 @@ imsPass(const Ddg &ddg, int ii, long budget,
         const std::vector<ClusterId> *assignment,
         PartialSchedule &ps, ImsArena &arena, long &used)
 {
-    // Delta-step the height table from the previous II instead of
-    // re-relaxing the whole graph; divergence means this II is
-    // below the true RecMII (a hostile knownRecMii hint), which is
-    // a failed attempt — the ladder recovers at a legal II.
-    if (!arena.ladder.ensure(ddg, ii))
+    // Divergence means this II is below the true RecMII (a hostile
+    // knownRecMii hint), which is a failed attempt — the ladder
+    // recovers at a legal II.
+    if (!tryComputeHeights(ddg, ii, arena.heights))
         return false;
-    const Heights &heights = arena.ladder.heights();
+    const Heights &heights = arena.heights;
     arena.worklist.build(ddg, heights);
 
     while (ps.scheduledCount() < ddg.liveOpCount()) {

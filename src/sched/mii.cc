@@ -138,10 +138,4 @@ recMii(const Ddg &ddg)
     return std::max(1, recurrenceBound(ddg));
 }
 
-int
-minII(const Ddg &ddg, const MachineModel &machine)
-{
-    return std::max(resMii(ddg, machine), recMii(ddg));
-}
-
 } // namespace dms

@@ -40,9 +40,6 @@ int recMii(const Ddg &ddg);
  */
 int recurrenceBound(const Ddg &ddg);
 
-/** max(resMii, recMii). */
-int minII(const Ddg &ddg, const MachineModel &machine);
-
 } // namespace dms
 
 #endif // DMS_SCHED_MII_H

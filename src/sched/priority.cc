@@ -1,10 +1,5 @@
 #include "sched/priority.h"
 
-#include <algorithm>
-#include <functional>
-
-#include "support/diag.h"
-
 namespace dms {
 
 namespace {
@@ -43,23 +38,6 @@ bestOut(const Ddg &ddg, const Heights &h, OpId v, int ii)
 
 } // namespace
 
-Heights
-computeHeights(const Ddg &ddg, int ii)
-{
-    Heights h;
-    computeHeights(ddg, ii, h);
-    return h;
-}
-
-void
-computeHeights(const Ddg &ddg, int ii, Heights &out)
-{
-    if (!tryComputeHeights(ddg, ii, out)) {
-        panic("height relaxation diverged: II %d below RecMII?",
-              ii);
-    }
-}
-
 bool
 tryComputeHeights(const Ddg &ddg, int ii, Heights &out)
 {
@@ -87,110 +65,6 @@ tryComputeHeights(const Ddg &ddg, int ii, Heights &out)
         }
     }
     return true;
-}
-
-void
-HeightLadder::bind(const Ddg &ddg)
-{
-    ddg_ = &ddg;
-    boundOps_ = ddg.numOps();
-    ii_ = -1;
-    valid_ = false;
-
-    // Affected set: ops whose height carries a -II*distance term.
-    // Seeds are the sources of active loop-carried edges; the
-    // closure adds every predecessor of an affected op (reverse-DDG
-    // reachability). An op outside the set has only distance-0
-    // active out-edges into other outside ops — if any out-edge led
-    // into the set its source would have been absorbed — so its
-    // height is II-independent and survives II steps untouched.
-    inAffected_.assign(static_cast<size_t>(boundOps_), 0);
-    affected_.clear();
-    for (EdgeId e = 0; e < ddg.numEdges(); ++e) {
-        if (!ddg.edgeActive(e))
-            continue;
-        const Edge &ed = ddg.edge(e);
-        if (ed.distance <= 0)
-            continue;
-        OpId s = ed.src;
-        if (ddg.opLive(s) && !inAffected_[static_cast<size_t>(s)]) {
-            inAffected_[static_cast<size_t>(s)] = 1;
-            affected_.push_back(s);
-        }
-    }
-    for (size_t i = 0; i < affected_.size(); ++i) {
-        OpId v = affected_[i];
-        for (EdgeId e : ddg.op(v).ins) {
-            if (!ddg.edgeActive(e))
-                continue;
-            OpId p = ddg.edge(e).src;
-            if (ddg.opLive(p) &&
-                !inAffected_[static_cast<size_t>(p)]) {
-                inAffected_[static_cast<size_t>(p)] = 1;
-                affected_.push_back(p);
-            }
-        }
-    }
-    // Sweep in the same descending-OpId direction as the full
-    // relaxation: bodies are built in program order, so this is
-    // near-topological and converges in few passes.
-    std::sort(affected_.begin(), affected_.end(),
-              std::greater<OpId>());
-}
-
-bool
-HeightLadder::relaxAffected(const Ddg &ddg, int ii)
-{
-    // Zero the affected ops and rebuild their least fixpoint from
-    // below against the fixed II-independent boundary — the same
-    // monotone iteration computeHeights() runs over the whole
-    // graph, restricted to the only ops whose values can differ.
-    for (OpId v : affected_)
-        h_[static_cast<size_t>(v)] = 0;
-
-    std::int64_t budget = relaxBudget(ddg);
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (OpId v : affected_) {
-            std::int64_t best = bestOut(ddg, h_, v, ii);
-            if (best > h_[static_cast<size_t>(v)]) {
-                h_[static_cast<size_t>(v)] = best;
-                changed = true;
-            }
-            if (--budget < 0)
-                return false;
-        }
-    }
-    return true;
-}
-
-bool
-HeightLadder::ensure(const Ddg &ddg, int ii)
-{
-    if (ddg_ != &ddg || boundOps_ != ddg.numOps())
-        bind(ddg);
-    DMS_ASSERT(boundOps_ == ddg.numOps(),
-               "height ladder bound to a resized graph");
-
-    if (valid_ && ii == ii_) {
-        ++reuses_;
-        return true;
-    }
-    if (valid_ && ii > ii_) {
-        ++delta_;
-        ii_ = ii;
-        // A converged table at a lower II cannot diverge at a
-        // higher one (cycle weights only shrink), but a bounded
-        // sweep keeps hostile graphs recoverable regardless.
-        valid_ = relaxAffected(ddg, ii);
-        return valid_;
-    }
-
-    ++full_;
-    ii_ = ii;
-    valid_ = tryComputeHeights(ddg, ii, h_);
-    return valid_;
 }
 
 } // namespace dms

@@ -114,15 +114,6 @@ class PartialSchedule
      */
     void violatedSuccessors(OpId op, std::vector<OpId> &out) const;
 
-    /** Allocating convenience overload of the above. */
-    std::vector<OpId>
-    violatedSuccessors(OpId op) const
-    {
-        std::vector<OpId> out;
-        violatedSuccessors(op, out);
-        return out;
-    }
-
     /** Number of live ops currently scheduled. */
     int scheduledCount() const { return scheduled_count_; }
 

@@ -243,17 +243,10 @@ ServeOptions
 ServeOptions::fromEnv()
 {
     ServeOptions opts;
-    opts.workers = envInt("DMS_SERVE_WORKERS", opts.workers,
-                          /*lo=*/0);
     opts.queueDepth =
         envInt("DMS_SERVE_QUEUE_DEPTH", opts.queueDepth);
-    opts.shards = envInt("DMS_SERVE_SHARDS", opts.shards);
     opts.cacheCapacity =
         envInt("DMS_SERVE_CACHE_CAP", opts.cacheCapacity);
-    opts.quarantineAfter = envInt("DMS_SERVE_QUARANTINE_AFTER",
-                                  opts.quarantineAfter);
-    opts.quarantineProbe = envInt("DMS_SERVE_QUARANTINE_PROBE",
-                                  opts.quarantineProbe);
     return opts;
 }
 

@@ -39,10 +39,10 @@
 
 namespace dms {
 
-/** Service shape knobs; every field has a DMS_SERVE_* env twin. */
+/** Service shape knobs. */
 struct ServeOptions
 {
-    /** Worker threads; 0 picks defaultJobs(). */
+    /** Worker threads; 0 picks defaultJobs() (DMS_JOBS). */
     int workers = 0;
 
     /** Bounded request-queue capacity (submitters block when full). */
@@ -71,9 +71,7 @@ struct ServeOptions
     /**
      * Environment overrides via the strict parse path (garbage,
      * trailing junk and overflow rejected with a warning):
-     * DMS_SERVE_WORKERS, DMS_SERVE_QUEUE_DEPTH, DMS_SERVE_SHARDS,
-     * DMS_SERVE_CACHE_CAP, DMS_SERVE_QUARANTINE_AFTER and
-     * DMS_SERVE_QUARANTINE_PROBE.
+     * DMS_SERVE_QUEUE_DEPTH and DMS_SERVE_CACHE_CAP.
      */
     static ServeOptions fromEnv();
 };

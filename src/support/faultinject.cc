@@ -97,16 +97,6 @@ parseRate(const std::string &s, double &out)
            out <= 1.0;
 }
 
-bool
-parseSeed(const std::string &s, std::uint64_t &out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtoull(s.c_str(), &end, 10);
-    return end != nullptr && *end == '\0';
-}
-
 } // namespace
 
 bool
@@ -136,7 +126,7 @@ FaultPlan::parse(const std::string &text, std::string &error)
                            f[1].c_str());
             return false;
         }
-        if (!parseSeed(f[2], spec.seed)) {
+        if (!parseU64(f[2], spec.seed)) {
             error = strfmt("bad fault seed '%s'", f[2].c_str());
             return false;
         }

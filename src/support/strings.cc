@@ -105,6 +105,20 @@ parseInt(std::string_view s, int &out)
 }
 
 bool
+parseU64(std::string_view s, std::uint64_t &out)
+{
+    // from_chars into an unsigned type takes neither a sign nor
+    // leading whitespace, and reports overflow as out_of_range.
+    std::uint64_t v = 0;
+    const char *end = s.data() + s.size();
+    auto [ptr, ec] = std::from_chars(s.data(), end, v);
+    if (ec != std::errc() || ptr != end)
+        return false;
+    out = v;
+    return true;
+}
+
+bool
 parseSignedInt(std::string_view s, int &out)
 {
     long long v = 0;

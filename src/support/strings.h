@@ -6,6 +6,7 @@
  * Small string helpers used by config parsing and emitters.
  */
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,6 +33,13 @@ std::string_view trimView(std::string_view s);
  * included — must be a digit.
  */
 bool parseInt(std::string_view s, int &out);
+
+/**
+ * Parse an unsigned 64-bit decimal: ASCII digits only (no sign, no
+ * whitespace) over the whole of @p s; false on an empty field,
+ * garbage or overflow. Used for counters and seeds.
+ */
+bool parseU64(std::string_view s, std::uint64_t &out);
 
 /**
  * Parse a possibly-negative integer; same strictness as parseInt

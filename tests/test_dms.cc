@@ -5,6 +5,8 @@
  * qualitative claims on small cases.
  */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/chain.h"
@@ -284,14 +286,17 @@ TEST(ChainRegistryTest, ChainsTouchingFindsEndpoints)
     Ddg g = b.take();
     ChainRegistry reg;
     int cid = reg.create(g, 0, {2}, 1);
-    auto touching_producer = reg.chainsTouching(g, x);
-    auto touching_consumer = reg.chainsTouching(g, st);
+    std::vector<int> touching_producer;
+    std::vector<int> touching_consumer;
+    reg.chainsTouching(g, x, touching_producer);
+    reg.chainsTouching(g, st, touching_consumer);
     ASSERT_EQ(touching_producer.size(), 1u);
     EXPECT_EQ(touching_producer[0], cid);
     ASSERT_EQ(touching_consumer.size(), 1u);
     // The move itself is not an endpoint.
-    EXPECT_TRUE(
-        reg.chainsTouching(g, reg.chain(cid).moves[0]).empty());
+    std::vector<int> touching_move;
+    reg.chainsTouching(g, reg.chain(cid).moves[0], touching_move);
+    EXPECT_TRUE(touching_move.empty());
 }
 
 TEST(CommQueries, ConflictDetection)

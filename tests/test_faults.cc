@@ -124,6 +124,10 @@ TEST(FaultPlan, RejectsMalformedSpecsWithoutPartialAppend)
         "site:-0.5:1",             // negative rate
         "site:frog:1",             // unparsable rate
         "site:0.5:banana",         // unparsable seed
+        "site:0.5:-1",             // negative seed
+        "site:0.5:99999999999999999999999", // seed overflows 2^64
+        "site:0.5: 5",             // seed with a leading space
+        "site:0.5:+5",             // seed with a sign
         "site:0.5:1:bogus",        // unknown kind
         "site:0.5:1:delay=x",      // unparsable delay
     };

@@ -4,6 +4,8 @@
  * reservation table.
  */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "machine/machine.h"
@@ -91,18 +93,21 @@ TEST(Topology, Neighbors)
 TEST(Topology, PathBetweenExcludesEndpoints)
 {
     MachineModel m = MachineModel::clusteredRing(6);
-    auto p = m.pathBetween(1, 4, +1); // 1 -> 2 -> 3 -> 4
+    std::vector<ClusterId> p;
+    m.pathBetween(1, 4, +1, p); // 1 -> 2 -> 3 -> 4
     ASSERT_EQ(p.size(), 2u);
     EXPECT_EQ(p[0], 2);
     EXPECT_EQ(p[1], 3);
 
-    auto q = m.pathBetween(1, 4, -1); // 1 -> 0 -> 5 -> 4
-    ASSERT_EQ(q.size(), 2u);
-    EXPECT_EQ(q[0], 0);
-    EXPECT_EQ(q[1], 5);
+    m.pathBetween(1, 4, -1, p); // 1 -> 0 -> 5 -> 4
+    ASSERT_EQ(p.size(), 2u);
+    EXPECT_EQ(p[0], 0);
+    EXPECT_EQ(p[1], 5);
 
-    EXPECT_TRUE(m.pathBetween(2, 3, +1).empty()); // adjacent
-    EXPECT_TRUE(m.pathBetween(2, 2, +1).empty()); // same
+    m.pathBetween(2, 3, +1, p);
+    EXPECT_TRUE(p.empty()); // adjacent
+    m.pathBetween(2, 2, +1, p);
+    EXPECT_TRUE(p.empty()); // same
 }
 
 TEST(Topology, TheTwoChainOptionsOfFigure3)
@@ -111,8 +116,11 @@ TEST(Topology, TheTwoChainOptionsOfFigure3)
     // option 1 goes through 1,2 (two moves); option 2 through
     // 7,6,5,4 (four moves).
     MachineModel m = MachineModel::clusteredRing(8);
-    EXPECT_EQ(m.pathBetween(0, 3, +1).size(), 2u);
-    EXPECT_EQ(m.pathBetween(0, 3, -1).size(), 4u);
+    std::vector<ClusterId> path;
+    m.pathBetween(0, 3, +1, path);
+    EXPECT_EQ(path.size(), 2u);
+    m.pathBetween(0, 3, -1, path);
+    EXPECT_EQ(path.size(), 4u);
 }
 
 TEST(Links, RingLayoutMatchesLegacyDirections)

@@ -207,6 +207,28 @@ TEST(Metrics, ParserRejectsMalformedText)
         "max=1 buckets=99999:5\n",
         out, error));
     EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+    // Unsigned fields take digits only: a sign behind whitespace
+    // must not wrap to 2^64 - 5, and 2^64 itself overflows.
+    const char *badUnsigned[] = {
+        "counter serve.requests \t-5",
+        "counter serve.requests +5",
+        "counter serve.requests 18446744073709551616",
+        "histogram h count=\t-1 sum=1 max=1 buckets=",
+        "histogram h count=1 sum=1 max=1 buckets=161:\t-1",
+    };
+    for (const char *line : badUnsigned) {
+        EXPECT_FALSE(obs::metricsFromText(
+            std::string("dmsmetrics v1\n") + line + "\n", out, error))
+            << line;
+        EXPECT_NE(error.find("line 2"), std::string::npos) << line;
+    }
+    ASSERT_TRUE(obs::metricsFromText(
+        "dmsmetrics v1\ncounter serve.requests 18446744073709551615\n",
+        out, error))
+        << error;
+    const auto *max = out.findCounter("serve.requests");
+    ASSERT_NE(max, nullptr);
+    EXPECT_EQ(max->value, 18446744073709551615ULL);
 }
 
 // --- traces ------------------------------------------------------------

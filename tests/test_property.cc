@@ -7,6 +7,8 @@
  * execution.
  */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "core/dms.h"
@@ -42,7 +44,7 @@ TEST_P(RandomLoopDms, FullPipelineInvariants)
     vopts.maxFlowFanout = 2;
     ASSERT_TRUE(verifyDdg(body, vopts).empty());
 
-    int mii = minII(body, machine);
+    int mii = std::max(resMii(body, machine), recMii(body));
     DmsOutcome out = scheduleDms(body, machine);
     ASSERT_TRUE(out.sched.ok) << loop.name;
 
@@ -94,7 +96,8 @@ TEST_P(RandomLoopIms, UnclusteredInvariants)
         MachineModel machine = MachineModel::unclustered(width);
         SchedOutcome out = scheduleIms(loop.ddg, machine);
         ASSERT_TRUE(out.ok) << loop.name;
-        EXPECT_GE(out.ii, minII(loop.ddg, machine));
+        EXPECT_GE(out.ii, std::max(resMii(loop.ddg, machine),
+                                   recMii(loop.ddg)));
         checkSchedule(loop.ddg, machine, *out.schedule);
         auto problems = simulateAndCheck(loop.ddg, machine,
                                          *out.schedule, 10);

@@ -4,6 +4,8 @@
  * slot search, and the forced-slot progress guarantee.
  */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "sched/schedule.h"
@@ -166,13 +168,15 @@ TEST(PartialScheduleTest, ViolatedSuccessors)
     PartialSchedule ps(f.ddg, f.machine, 2);
     ASSERT_TRUE(ps.tryPlace(f.ml, 2, 0));
     ASSERT_TRUE(ps.tryPlace(f.ld, 2, 0)); // ld -> ml needs +2
-    auto viol = ps.violatedSuccessors(f.ld);
+    std::vector<OpId> viol;
+    ps.violatedSuccessors(f.ld, viol);
     ASSERT_EQ(viol.size(), 1u);
     EXPECT_EQ(viol[0], f.ml);
 
     ps.unschedule(f.ml);
     ASSERT_TRUE(ps.tryPlace(f.ml, 4, 0));
-    EXPECT_TRUE(ps.violatedSuccessors(f.ld).empty());
+    ps.violatedSuccessors(f.ld, viol);
+    EXPECT_TRUE(viol.empty());
 }
 
 TEST(PartialScheduleTest, GrowsWithDdg)

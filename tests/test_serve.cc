@@ -60,33 +60,23 @@ kernelRequest(const char *kernel, bool codegen = true)
 
 TEST(ServeOptionsEnv, StrictKnobParsing)
 {
-    // Garbage, trailing junk, overflow and out-of-range values all
-    // fall back to the defaults (same strict path as DMS_JOBS).
+    // Trailing junk and out-of-range values fall back to the
+    // defaults (same strict path as DMS_JOBS).
     ::setenv("DMS_SERVE_QUEUE_DEPTH", "12x", 1);
-    ::setenv("DMS_SERVE_SHARDS", "99999999999999", 1);
     ::setenv("DMS_SERVE_CACHE_CAP", "0", 1);
-    ::setenv("DMS_SERVE_WORKERS", "banana", 1);
     ServeOptions defaults;
     ServeOptions opts = ServeOptions::fromEnv();
     EXPECT_EQ(opts.queueDepth, defaults.queueDepth);
-    EXPECT_EQ(opts.shards, defaults.shards);
     EXPECT_EQ(opts.cacheCapacity, defaults.cacheCapacity);
-    EXPECT_EQ(opts.workers, defaults.workers);
 
     ::setenv("DMS_SERVE_QUEUE_DEPTH", "17", 1);
-    ::setenv("DMS_SERVE_SHARDS", "3", 1);
     ::setenv("DMS_SERVE_CACHE_CAP", "100", 1);
-    ::setenv("DMS_SERVE_WORKERS", "2", 1);
     opts = ServeOptions::fromEnv();
     EXPECT_EQ(opts.queueDepth, 17);
-    EXPECT_EQ(opts.shards, 3);
     EXPECT_EQ(opts.cacheCapacity, 100);
-    EXPECT_EQ(opts.workers, 2);
 
     ::unsetenv("DMS_SERVE_QUEUE_DEPTH");
-    ::unsetenv("DMS_SERVE_SHARDS");
     ::unsetenv("DMS_SERVE_CACHE_CAP");
-    ::unsetenv("DMS_SERVE_WORKERS");
 }
 
 TEST(ServeCache, FnvMatchesReference)
@@ -571,11 +561,11 @@ TEST(Serve, MatrixViaServiceBitIdentical)
 
 /**
  * DMS behind a deliberately corrupt RecMII hint: the regression
- * shape for the computeHeights budget-exhaustion panic. A hostile
- * knownRecMii below the true RecMII used to drive height relaxation
- * into its divergence budget and fatal() the worker — killing the
- * whole daemon. It must instead surface as a failed attempt
- * (recovered at a legal II) or, with a capped ladder, as a
+ * shape for the height relaxation's budget-exhaustion panic. A
+ * hostile knownRecMii below the true RecMII used to drive height
+ * relaxation into its divergence budget and fatal() the worker —
+ * killing the whole daemon. It must instead surface as a failed
+ * attempt (recovered at a legal II) or, with a capped ladder, as a
  * structured Unschedulable result.
  */
 class HostileHintScheduler : public Scheduler

@@ -5,6 +5,8 @@
  * use as their oracle (tests/samples.h).
  */
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "samples.h"
@@ -182,6 +184,30 @@ TEST(Strings, ParseInt)
     EXPECT_FALSE(parseInt(std::string("5\0", 2), v));
     EXPECT_FALSE(parseInt(std::string("\0" "5", 2), v));
     EXPECT_EQ(v, -1);
+}
+
+TEST(Strings, ParseU64)
+{
+    std::uint64_t v = 7;
+    EXPECT_TRUE(parseU64("0", v));
+    EXPECT_EQ(v, 0u);
+    EXPECT_TRUE(parseU64("007", v));
+    EXPECT_EQ(v, 7u);
+    EXPECT_TRUE(parseU64("18446744073709551615", v));
+    EXPECT_EQ(v, 18446744073709551615ULL);
+    // Digits only: no sign, no whitespace anywhere, no overflow.
+    v = 3;
+    EXPECT_FALSE(parseU64("", v));
+    EXPECT_FALSE(parseU64("-1", v));
+    EXPECT_FALSE(parseU64("\t-5", v));
+    EXPECT_FALSE(parseU64("+5", v));
+    EXPECT_FALSE(parseU64(" 5", v));
+    EXPECT_FALSE(parseU64("5 ", v));
+    EXPECT_FALSE(parseU64("5x", v));
+    EXPECT_FALSE(parseU64("18446744073709551616", v));
+    EXPECT_FALSE(parseU64("99999999999999999999999", v));
+    EXPECT_FALSE(parseU64(std::string("5\0" "1", 3), v));
+    EXPECT_EQ(v, 3u);
 }
 
 TEST(Strings, ParseSignedInt)
