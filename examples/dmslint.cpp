@@ -1,7 +1,7 @@
 /**
  * @file
  * dmslint — the static-analysis front-end: lints any pipeline
- * artifact through the analysis/ check registry and exits with the
+ * artifact through the analysis/ check table and exits with the
  * maximum severity found.
  *
  * Usage:
@@ -24,7 +24,7 @@
  *                   4-cluster ring)
  *   --sched NAME    registry scheduler for --compile (default dms)
  *   --json          render diagnostics as JSON instead of text
- *   --list          list every registered check and exit
+ *   --list          list every check and exit
  *
  * Diagnostics go to stdout, one line per finding (nothing when
  * clean). Exit code: 0 clean, 1 worst is a note, 2 warning,
@@ -38,10 +38,8 @@
 #include <vector>
 
 #include "analysis/analyze.h"
-#include "codegen/emit.h"
 #include "core/pipeline.h"
 #include "machine/desc.h"
-#include "regalloc/sharing.h"
 #include "support/diag.h"
 #include "support/strings.h"
 #include "workload/text.h"
@@ -123,35 +121,18 @@ auditCompiled(const Loop &loop, const MachineModel &machine,
         fatal("scheduling '%s' failed on %s", loop.name.c_str(),
               machine.describe().c_str());
 
-    const Ddg &ddg = ctx.scheduledDdg();
-    const ScheduleView view = viewOf(*ctx.result.sched.schedule);
-    AnalysisInput input;
-    input.machine = &machine;
-    input.ddg = &ddg;
-    input.schedule = &view;
-    SharedAllocation sharing;
-    std::string kernel_text;
-    if (ctx.queuesValid) {
-        input.queues = &ctx.queues;
-        sharing = shareQueues(ctx.queues, ddg,
-                              *ctx.result.sched.schedule);
-        input.sharing = &sharing;
-    }
-    input.kernel = &ctx.kernel;
-    kernel_text =
-        emitKernel(ddg, machine, ctx.kernel,
-                   ctx.queuesValid ? &ctx.queues : nullptr);
-    input.kernelText = &kernel_text;
-    runChecks(input, subject, sink);
+    lintCompiled(machine, ctx.scheduledDdg(), *ctx.result.sched.schedule,
+                 ctx.queuesValid ? &ctx.queues : nullptr,
+                 ctx.kernelValid ? &ctx.kernel : nullptr, subject,
+                 sink);
 }
 
 void
 listChecks()
 {
-    for (const Check *c : CheckRegistry::instance().checks()) {
-        std::printf("%-26s %-16s %s\n", c->id(),
-                    artifactKindName(c->artifact()),
-                    c->description());
+    for (const Check &c : allChecks()) {
+        std::printf("%-26s %-16s %s\n", c.id,
+                    artifactKindName(c.artifact), c.description);
     }
 }
 

@@ -1,8 +1,10 @@
 #include "analysis/analyze.h"
 
+#include "codegen/emit.h"
 #include "machine/desc.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "regalloc/sharing.h"
 #include "workload/text.h"
 
 namespace dms {
@@ -13,7 +15,8 @@ runChecks(const AnalysisInput &input, const std::string &subject,
 {
     const int before = static_cast<int>(sink.diagnostics().size());
     sink.setSubject(subject);
-    CheckRegistry::instance().runAll(input, sink);
+    for (const Check &c : allChecks())
+        c.run(c, input, sink);
     return static_cast<int>(sink.diagnostics().size()) - before;
 }
 
@@ -70,6 +73,32 @@ lintLoop(const Loop &loop, const std::string &subject,
 {
     AnalysisInput input;
     input.loop = &loop;
+    return runChecks(input, subject, sink);
+}
+
+int
+lintCompiled(const MachineModel &machine, const Ddg &scheduledDdg,
+             const PartialSchedule &schedule,
+             const QueueAllocation *queues, const PipelinedLoop *kernel,
+             const std::string &subject, DiagnosticSink &sink)
+{
+    const ScheduleView view = viewOf(schedule);
+    AnalysisInput input;
+    input.machine = &machine;
+    input.ddg = &scheduledDdg;
+    input.schedule = &view;
+    SharedAllocation sharing;
+    if (queues != nullptr) {
+        input.queues = queues;
+        sharing = shareQueues(*queues, scheduledDdg, schedule);
+        input.sharing = &sharing;
+    }
+    std::string kernel_text;
+    if (kernel != nullptr) {
+        input.kernel = kernel;
+        kernel_text = emitKernel(scheduledDdg, machine, *kernel, queues);
+        input.kernelText = &kernel_text;
+    }
     return runChecks(input, subject, sink);
 }
 

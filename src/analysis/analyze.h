@@ -7,8 +7,8 @@
  * CLI, the opt-in pipeline `analyze` stage (PipelineOptions::analyze
  * / DMS_ANALYZE=1) and the tests. Each helper assembles an
  * AnalysisInput for one artifact, stamps the sink's subject and
- * runs every applicable registered check; the return value is the
- * number of diagnostics the run added.
+ * runs every check in allChecks(); the return value is the number
+ * of diagnostics the run added.
  */
 
 #include <string>
@@ -17,7 +17,7 @@
 
 namespace dms {
 
-/** Run all checks applicable to @p input under @p subject. */
+/** Run every check over @p input under @p subject. */
 int runChecks(const AnalysisInput &input, const std::string &subject,
               DiagnosticSink &sink);
 
@@ -46,6 +46,20 @@ int lintLoopText(const std::string &text, const std::string &subject,
 /** Lint an in-memory loop (built-in kernels have no text form). */
 int lintLoop(const Loop &loop, const std::string &subject,
              DiagnosticSink &sink);
+
+/**
+ * Audit one compilation: @p scheduledDdg placed by @p schedule on
+ * @p machine, plus the queue allocation and the kernel when given.
+ * The schedule view, the queue sharing (when @p queues is given)
+ * and the emitted kernel text (when @p kernel is given) are derived
+ * into locals, so the audit never writes back into the caller's
+ * artifacts.
+ */
+int lintCompiled(const MachineModel &machine, const Ddg &scheduledDdg,
+                 const PartialSchedule &schedule,
+                 const QueueAllocation *queues,
+                 const PipelinedLoop *kernel,
+                 const std::string &subject, DiagnosticSink &sink);
 
 /**
  * Lint one `dmsmetrics v1` snapshot (the text form metricsToText

@@ -3,12 +3,11 @@
 
 /**
  * @file
- * Internal glue for the builtin checker families. Each family lives
- * in its own translation unit (machine_checks.cc, loop_checks.cc,
- * schedule_checks.cc, queue_checks.cc, kernel_checks.cc) and
- * registers through one of the functions below;
- * registerBuiltinChecks() in builtin_checks.cc fans out to all of
- * them.
+ * The builtin check tables. Each family lives in its own translation
+ * unit (kernel_checks.cc, loop_checks.cc, machine_checks.cc,
+ * obs_checks.cc, queue_checks.cc, schedule_checks.cc) as check
+ * functions plus one constant table ordered by id; allChecks() in
+ * check.cc concatenates the tables.
  */
 
 #include "analysis/check.h"
@@ -16,32 +15,19 @@
 namespace dms {
 namespace lint {
 
-/** Boilerplate base: stores the id/description/artifact triple. */
-class BuiltinCheck : public Check
+/** One family's checks: a constant array ordered by id. */
+struct CheckTable
 {
-  public:
-    BuiltinCheck(const char *id, const char *description,
-                 ArtifactKind artifact)
-        : id_(id), description_(description), artifact_(artifact)
-    {
-    }
-
-    const char *id() const override { return id_; }
-    const char *description() const override { return description_; }
-    ArtifactKind artifact() const override { return artifact_; }
-
-  private:
-    const char *id_;
-    const char *description_;
-    ArtifactKind artifact_;
+    const Check *begin;
+    const Check *end;
 };
 
-void registerMachineChecks(CheckRegistry &registry);
-void registerLoopChecks(CheckRegistry &registry);
-void registerScheduleChecks(CheckRegistry &registry);
-void registerQueueChecks(CheckRegistry &registry);
-void registerKernelChecks(CheckRegistry &registry);
-void registerObsChecks(CheckRegistry &registry);
+extern const CheckTable kKernelChecks;
+extern const CheckTable kLoopChecks;
+extern const CheckTable kMachineChecks;
+extern const CheckTable kObsChecks;
+extern const CheckTable kQueueChecks;
+extern const CheckTable kScheduleChecks;
 
 } // namespace lint
 } // namespace dms

@@ -1,6 +1,6 @@
 #include "analysis/check.h"
 
-#include <algorithm>
+#include "analysis/builtin_checks.h"
 
 namespace dms {
 
@@ -19,64 +19,21 @@ viewOf(const PartialSchedule &ps)
     return view;
 }
 
-CheckRegistry &
-CheckRegistry::instance()
+const std::vector<Check> &
+allChecks()
 {
-    static CheckRegistry registry;
-    return registry;
-}
-
-CheckRegistry::CheckRegistry()
-{
-    registerBuiltinChecks(*this);
-}
-
-bool
-CheckRegistry::add(std::unique_ptr<Check> check)
-{
-    if (find(check->id()) != nullptr)
-        return false;
-    checks_.push_back(std::move(check));
-    return true;
-}
-
-const Check *
-CheckRegistry::find(std::string_view id) const
-{
-    for (const std::unique_ptr<Check> &c : checks_) {
-        if (id == c->id())
-            return c.get();
-    }
-    return nullptr;
-}
-
-std::vector<const Check *>
-CheckRegistry::checks() const
-{
-    std::vector<const Check *> out;
-    out.reserve(checks_.size());
-    for (const std::unique_ptr<Check> &c : checks_)
-        out.push_back(c.get());
-    std::sort(out.begin(), out.end(),
-              [](const Check *a, const Check *b) {
-                  return std::string_view(a->id()) <
-                         std::string_view(b->id());
-              });
-    return out;
-}
-
-int
-CheckRegistry::runAll(const AnalysisInput &input,
-                      DiagnosticSink &sink) const
-{
-    int ran = 0;
-    for (const Check *c : checks()) {
-        if (!c->applicable(input))
-            continue;
-        c->run(input, sink);
-        ++ran;
-    }
-    return ran;
+    // Each table is ordered by id and the family prefixes sort in
+    // this order, so the concatenation is ordered by id.
+    static const std::vector<Check> checks = [] {
+        std::vector<Check> all;
+        for (const lint::CheckTable &table :
+             {lint::kKernelChecks, lint::kLoopChecks,
+              lint::kMachineChecks, lint::kObsChecks,
+              lint::kQueueChecks, lint::kScheduleChecks})
+            all.insert(all.end(), table.begin, table.end);
+        return all;
+    }();
+    return checks;
 }
 
 } // namespace dms

@@ -3,26 +3,23 @@
 
 /**
  * @file
- * The checker interface and its name-keyed registry (same idiom as
- * the scheduler registry). Each checker is *independent* of the
- * pipeline internals it audits: it re-derives the property it
- * checks from first principles — recounting reservation rows from
- * raw placements, recomputing lifetime spans from schedule times,
- * re-walking reachability over the link graph — instead of calling
- * the code that produced the artifact. A checker therefore fails
- * loudly when the pipeline and the check disagree, whichever of
- * the two is wrong.
+ * The check record and the table of every builtin check. Each
+ * checker is *independent* of the pipeline internals it audits: it
+ * re-derives the property it checks from first principles —
+ * recounting reservation rows from raw placements, recomputing
+ * lifetime spans from schedule times, re-walking reachability over
+ * the link graph — instead of calling the code that produced the
+ * artifact. A checker therefore fails loudly when the pipeline and
+ * the check disagree, whichever of the two is wrong.
  *
- * An AnalysisInput bundles whatever artifacts the caller has;
- * every registered check whose inputs are present runs. Schedules
- * are audited through the flat ScheduleView (plain placements +
- * II), so tests can seed defects without fighting the invariants
- * PartialSchedule enforces by construction.
+ * An AnalysisInput bundles whatever artifacts the caller has; every
+ * check runs and skips itself when an input it reads is absent.
+ * Schedules are audited through the flat ScheduleView (plain
+ * placements + II), so tests can seed defects without fighting the
+ * invariants PartialSchedule enforces by construction.
  */
 
-#include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "analysis/diagnostic.h"
@@ -75,7 +72,7 @@ ScheduleView viewOf(const PartialSchedule &ps);
 
 /**
  * Everything a lint/audit run may look at. All fields optional;
- * each check declares (via applicable()) which ones it needs.
+ * each check returns without a finding when one it reads is null.
  * Text fields, when present, let checkers attach line numbers.
  */
 struct AnalysisInput
@@ -110,66 +107,36 @@ struct AnalysisInput
     const LatencyModel *latency = nullptr;
 };
 
-/** One independent checker behind a stable registry id. */
-class Check
+/**
+ * One independent checker: a stable id, a description, the artifact
+ * kind it audits and the function that audits it. A check is plain
+ * constant data, so the builtin tables are constant-initialised.
+ */
+struct Check
 {
-  public:
-    virtual ~Check() = default;
-
     /** Stable id, e.g. "sched.resource-overuse". */
-    virtual const char *id() const = 0;
+    const char *id;
 
     /** One-line description for the README table and --list. */
-    virtual const char *description() const = 0;
+    const char *description;
 
     /** Artifact kind this check audits. */
-    virtual ArtifactKind artifact() const = 0;
+    ArtifactKind artifact;
 
-    /** True when @p input carries everything this check needs. */
-    virtual bool applicable(const AnalysisInput &input) const = 0;
-
-    /** Run; report findings into @p sink. */
-    virtual void run(const AnalysisInput &input,
-                     DiagnosticSink &sink) const = 0;
+    /**
+     * Audit @p input and report findings into @p sink under
+     * @p self's id and artifact. Returns at once when an input the
+     * check reads is absent.
+     */
+    void (*run)(const Check &self, const AnalysisInput &input,
+                DiagnosticSink &sink);
 };
 
 /**
- * Id-keyed checker registry. Builtin checks are registered on
- * first use; add() is not thread-safe against concurrent lookups —
- * register extra checks before spawning sweeps.
+ * Every builtin check, ordered by id: the one list that runChecks,
+ * `dmslint --list` and the tests iterate. Built once, on first use.
  */
-class CheckRegistry
-{
-  public:
-    /** The process-wide registry, builtins included. */
-    static CheckRegistry &instance();
-
-    /** Register a check; false (and no change) if the id is
-     * taken. */
-    bool add(std::unique_ptr<Check> check);
-
-    /** Look up by id, or null. */
-    const Check *find(std::string_view id) const;
-
-    /** Every registered check, ordered by id. */
-    std::vector<const Check *> checks() const;
-
-    /**
-     * Run every check applicable to @p input. Returns the number
-     * of checks that ran.
-     */
-    int runAll(const AnalysisInput &input,
-               DiagnosticSink &sink) const;
-
-  private:
-    CheckRegistry();
-
-    std::vector<std::unique_ptr<Check>> checks_;
-};
-
-/** Registers the builtin machine/loop/schedule/queue/kernel/obs
- * checks. */
-void registerBuiltinChecks(CheckRegistry &registry);
+const std::vector<Check> &allChecks();
 
 } // namespace dms
 

@@ -10,6 +10,8 @@
  * DDG op k).
  */
 
+#include <iterator>
+
 #include "analysis/builtin_checks.h"
 #include "analysis/lint_util.h"
 #include "support/diag.h"
@@ -31,196 +33,130 @@ opLocation(const AnalysisInput &input, OpId op)
     return loc;
 }
 
-class LoopParseCheck final : public BuiltinCheck
+void
+loopParse(const Check &self, const AnalysisInput &input,
+          DiagnosticSink &sink)
 {
-  public:
-    LoopParseCheck()
-        : BuiltinCheck("loop.parse",
-                       "loop description parses cleanly",
-                       ArtifactKind::Loop)
-    {
-    }
+    if (input.loopText == nullptr)
+        return;
+    const LatencyModel lat =
+        input.latency != nullptr
+            ? *input.latency
+            : (input.machine != nullptr
+                   ? input.machine->latency()
+                   : LatencyModel());
+    Loop loop;
+    std::string error;
+    if (loopFromText(*input.loopText, loop, error, lat))
+        return;
+    DiagLocation loc;
+    std::string message;
+    loc.line = splitErrorLine(error, message);
+    sink.report(self.id, Severity::Error, self.artifact, loc, message);
+}
 
-    bool
-    applicable(const AnalysisInput &input) const override
-    {
-        return input.loopText != nullptr;
-    }
-
-    void
-    run(const AnalysisInput &input, DiagnosticSink &sink) const
-        override
-    {
-        const LatencyModel lat =
-            input.latency != nullptr
-                ? *input.latency
-                : (input.machine != nullptr
-                       ? input.machine->latency()
-                       : LatencyModel());
-        Loop loop;
-        std::string error;
-        if (loopFromText(*input.loopText, loop, error, lat))
-            return;
-        DiagLocation loc;
-        std::string message;
-        loc.line = splitErrorLine(error, message);
-        sink.report(id(), Severity::Error, artifact(), loc, message);
-    }
-};
-
-class StoreNoValueCheck final : public BuiltinCheck
+void
+storeNoValue(const Check &self, const AnalysisInput &input,
+             DiagnosticSink &sink)
 {
-  public:
-    StoreNoValueCheck()
-        : BuiltinCheck("loop.store-no-value",
-                       "every store is fed a value by a flow edge",
-                       ArtifactKind::Loop)
-    {
+    if (input.loop == nullptr)
+        return;
+    const Ddg &ddg = input.loop->ddg;
+    for (OpId op : ddg.liveOps()) {
+        if (ddg.op(op).opc != Opcode::Store)
+            continue;
+        if (!ddg.flowInputs(op).empty())
+            continue;
+        sink.report(self.id, Severity::Error, self.artifact,
+                    opLocation(input, op),
+                    "store has no flow edge feeding the value "
+                    "to write");
     }
+}
 
-    bool
-    applicable(const AnalysisInput &input) const override
-    {
-        return input.loop != nullptr;
-    }
-
-    void
-    run(const AnalysisInput &input, DiagnosticSink &sink) const
-        override
-    {
-        const Ddg &ddg = input.loop->ddg;
-        for (OpId op : ddg.liveOps()) {
-            if (ddg.op(op).opc != Opcode::Store)
-                continue;
-            if (!ddg.flowInputs(op).empty())
-                continue;
-            sink.report(id(), Severity::Error, artifact(),
-                        opLocation(input, op),
-                        "store has no flow edge feeding the value "
-                        "to write");
-        }
-    }
-};
-
-class DeadOpCheck final : public BuiltinCheck
+void
+deadOp(const Check &self, const AnalysisInput &input,
+       DiagnosticSink &sink)
 {
-  public:
-    DeadOpCheck()
-        : BuiltinCheck("loop.dead-op",
-                       "every produced value has a consumer",
-                       ArtifactKind::Loop)
-    {
+    if (input.loop == nullptr)
+        return;
+    const Ddg &ddg = input.loop->ddg;
+    for (OpId op : ddg.liveOps()) {
+        const Opcode opc = ddg.op(op).opc;
+        if (!producesValue(opc))
+            continue;
+        if (ddg.flowFanout(op) > 0)
+            continue;
+        sink.report(
+            self.id, Severity::Warning, self.artifact,
+            opLocation(input, op),
+            strfmt("result of %s is never used (no flow "
+                   "out-edge); the op is dead work every "
+                   "iteration",
+                   opcodeName(opc)));
     }
+}
 
-    bool
-    applicable(const AnalysisInput &input) const override
-    {
-        return input.loop != nullptr;
-    }
-
-    void
-    run(const AnalysisInput &input, DiagnosticSink &sink) const
-        override
-    {
-        const Ddg &ddg = input.loop->ddg;
-        for (OpId op : ddg.liveOps()) {
-            const Opcode opc = ddg.op(op).opc;
-            if (!producesValue(opc))
-                continue;
-            if (ddg.flowFanout(op) > 0)
-                continue;
-            sink.report(
-                id(), Severity::Warning, artifact(),
-                opLocation(input, op),
-                strfmt("result of %s is never used (no flow "
-                       "out-edge); the op is dead work every "
-                       "iteration",
-                       opcodeName(opc)));
-        }
-    }
-};
-
-class DanglingOperandCheck final : public BuiltinCheck
+void
+danglingOperand(const Check &self, const AnalysisInput &input,
+                DiagnosticSink &sink)
 {
-  public:
-    DanglingOperandCheck()
-        : BuiltinCheck("loop.dangling-operand",
-                       "operations taking operands receive at least "
-                       "one flow edge",
-                       ArtifactKind::Loop)
-    {
+    if (input.loop == nullptr)
+        return;
+    const Ddg &ddg = input.loop->ddg;
+    for (OpId op : ddg.liveOps()) {
+        const Opcode opc = ddg.op(op).opc;
+        // Stores are loop.store-no-value's concern.
+        if (opcodeArity(opc) < 1 || opc == Opcode::Store)
+            continue;
+        if (!ddg.flowInputs(op).empty())
+            continue;
+        sink.report(
+            self.id, Severity::Note, self.artifact,
+            opLocation(input, op),
+            strfmt("%s receives no flow edge on any operand "
+                   "slot; all operands are assumed "
+                   "loop-invariant",
+                   opcodeName(opc)));
     }
+}
 
-    bool
-    applicable(const AnalysisInput &input) const override
-    {
-        return input.loop != nullptr;
-    }
-
-    void
-    run(const AnalysisInput &input, DiagnosticSink &sink) const
-        override
-    {
-        const Ddg &ddg = input.loop->ddg;
-        for (OpId op : ddg.liveOps()) {
-            const Opcode opc = ddg.op(op).opc;
-            // Stores are loop.store-no-value's concern.
-            if (opcodeArity(opc) < 1 || opc == Opcode::Store)
-                continue;
-            if (!ddg.flowInputs(op).empty())
-                continue;
-            sink.report(
-                id(), Severity::Note, artifact(),
-                opLocation(input, op),
-                strfmt("%s receives no flow edge on any operand "
-                       "slot; all operands are assumed "
-                       "loop-invariant",
-                       opcodeName(opc)));
-        }
-    }
-};
-
-class NoncanonicalTextCheck final : public BuiltinCheck
+void
+noncanonicalText(const Check &self, const AnalysisInput &input,
+                 DiagnosticSink &sink)
 {
-  public:
-    NoncanonicalTextCheck()
-        : BuiltinCheck("loop.noncanonical-text",
-                       "loop text is in the canonical loopToText "
-                       "form",
-                       ArtifactKind::Loop)
-    {
-    }
+    if (input.loopText == nullptr || input.loop == nullptr)
+        return;
+    if (*input.loopText == loopToText(*input.loop))
+        return;
+    sink.report(self.id, Severity::Note, self.artifact, DiagLocation(),
+                "text differs from the canonical loopToText "
+                "form; the serve cache keys on canonical text, "
+                "so equivalent spellings compile separately");
+}
 
-    bool
-    applicable(const AnalysisInput &input) const override
-    {
-        return input.loopText != nullptr && input.loop != nullptr;
-    }
-
-    void
-    run(const AnalysisInput &input, DiagnosticSink &sink) const
-        override
-    {
-        if (*input.loopText == loopToText(*input.loop))
-            return;
-        sink.report(id(), Severity::Note, artifact(), DiagLocation(),
-                    "text differs from the canonical loopToText "
-                    "form; the serve cache keys on canonical text, "
-                    "so equivalent spellings compile separately");
-    }
+constexpr Check kTable[] = {
+    {"loop.dangling-operand",
+     "operations taking operands receive at least one flow edge",
+     ArtifactKind::Loop, danglingOperand},
+    {"loop.dead-op",
+     "every produced value has a consumer",
+     ArtifactKind::Loop, deadOp},
+    {"loop.noncanonical-text",
+     "loop text is in the canonical loopToText form",
+     ArtifactKind::Loop, noncanonicalText},
+    {"loop.parse",
+     "loop description parses cleanly",
+     ArtifactKind::Loop, loopParse},
+    {"loop.store-no-value",
+     "every store is fed a value by a flow edge",
+     ArtifactKind::Loop, storeNoValue},
 };
 
 } // namespace
 
-void
-registerLoopChecks(CheckRegistry &registry)
-{
-    registry.add(std::make_unique<LoopParseCheck>());
-    registry.add(std::make_unique<StoreNoValueCheck>());
-    registry.add(std::make_unique<DeadOpCheck>());
-    registry.add(std::make_unique<DanglingOperandCheck>());
-    registry.add(std::make_unique<NoncanonicalTextCheck>());
-}
+const CheckTable kLoopChecks = {std::begin(kTable),
+                                std::end(kTable)};
 
 } // namespace lint
 } // namespace dms

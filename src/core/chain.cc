@@ -93,8 +93,7 @@ ChainRegistry::chainOfMove(OpId op) const
 }
 
 void
-ChainRegistry::chainsTouching(const Ddg &, OpId op,
-                              std::vector<int> &out) const
+ChainRegistry::chainsTouching(OpId op, std::vector<int> &out) const
 {
     out.clear();
     for (int id : live_ids_) {
@@ -108,17 +107,6 @@ const Chain &
 ChainRegistry::chain(int id) const
 {
     return chains_.at(static_cast<size_t>(id));
-}
-
-int
-ChainRegistry::liveChainCount() const
-{
-    int n = 0;
-    for (const Chain &c : chains_) {
-        if (!c.dissolved)
-            ++n;
-    }
-    return n;
 }
 
 } // namespace dms

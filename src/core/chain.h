@@ -101,13 +101,9 @@ class ChainRegistry
      * appended to @p out (cleared first) — the allocation-free form
      * the eviction path uses.
      */
-    void chainsTouching(const Ddg &ddg, OpId op,
-                        std::vector<int> &out) const;
+    void chainsTouching(OpId op, std::vector<int> &out) const;
 
     const Chain &chain(int id) const;
-
-    /** Count of live (not dissolved) chains. */
-    int liveChainCount() const;
 
   private:
     std::vector<Chain> chains_;

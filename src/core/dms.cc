@@ -492,7 +492,7 @@ class DmsAttempt
     void
     dissolveTouchingChains(OpId endpoint)
     {
-        chains_.chainsTouching(*ddg_, endpoint, touching_);
+        chains_.chainsTouching(endpoint, touching_);
         for (int cid : touching_)
             chains_.dissolve(cid, *ddg_, *ps_);
     }

@@ -3,9 +3,7 @@
 #include <algorithm>
 
 #include "analysis/analyze.h"
-#include "codegen/emit.h"
 #include "ir/unroll.h"
-#include "regalloc/sharing.h"
 #include "sched/mii.h"
 #include "sched/verifier.h"
 #include "support/diag.h"
@@ -162,34 +160,14 @@ bool
 stageAnalyze(const PipelineOptions &, const Loop &loop,
              const MachineModel &machine, CompilationContext &ctx)
 {
-    const Ddg &ddg = ctx.scheduledDdg();
-    const ScheduleView view = viewOf(*ctx.result.sched.schedule);
-
-    AnalysisInput input;
-    input.machine = &machine;
-    input.ddg = &ddg;
-    input.schedule = &view;
-    // The audit is observational: sharing and the emitted text are
-    // derived into locals here, never written back into the
-    // context, so analyzed runs stay bit-identical to plain ones.
-    SharedAllocation sharing;
-    std::string kernel_text;
-    if (ctx.queuesValid) {
-        input.queues = &ctx.queues;
-        sharing = shareQueues(ctx.queues, ddg,
-                              *ctx.result.sched.schedule);
-        input.sharing = &sharing;
-    }
-    if (ctx.kernelValid) {
-        input.kernel = &ctx.kernel;
-        kernel_text = emitKernel(ddg, machine, ctx.kernel,
-                                 ctx.queuesValid ? &ctx.queues
-                                                 : nullptr);
-        input.kernelText = &kernel_text;
-    }
-
+    // The audit is observational: lintCompiled derives sharing and
+    // the emitted text into locals, never into the context, so
+    // analyzed runs stay bit-identical to plain ones.
     DiagnosticSink sink;
-    runChecks(input, "analyze:" + loop.name, sink);
+    lintCompiled(machine, ctx.scheduledDdg(), *ctx.result.sched.schedule,
+                 ctx.queuesValid ? &ctx.queues : nullptr,
+                 ctx.kernelValid ? &ctx.kernel : nullptr,
+                 "analyze:" + loop.name, sink);
     if (sink.empty())
         return true;
     // Like verify: a pipeline that produced a flagged artifact has

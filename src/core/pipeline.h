@@ -69,8 +69,8 @@ struct PipelineOptions
 
     /**
      * Independent static-analysis audit of every artifact the run
-     * produced (schedule, queue allocation, kernel) through the
-     * analysis/ check registry; panics on any diagnostic, like
+     * produced (schedule, queue allocation, kernel) through
+     * lintCompiled (analysis/analyze.h); panics on any diagnostic, like
      * verify. Also switched on by the environment knob
      * DMS_ANALYZE=1. Purely observational: an analyzed run's
      * artifacts are bit-identical to an unanalyzed one.

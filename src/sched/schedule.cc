@@ -25,8 +25,6 @@ PartialSchedule::reset(int ii)
     seen_epoch_.assign(n, 0);
     epoch_ = 0;
     scheduled_count_ = 0;
-    max_time_ = -1;
-    max_time_dirty_ = false;
 }
 
 Cycle
@@ -76,8 +74,6 @@ PartialSchedule::placeAt(OpId op, Cycle cycle, ClusterId cluster,
     last_time_[static_cast<size_t>(op)] = cycle;
     ++times_placed_[static_cast<size_t>(op)];
     ++scheduled_count_;
-    if (!max_time_dirty_)
-        max_time_ = std::max(max_time_, cycle);
 }
 
 bool
@@ -140,8 +136,6 @@ PartialSchedule::unschedule(OpId op)
                ddg_->opLabel(op).c_str());
     FuClass cls = fuClassOf(ddg_->op(op).opc);
     rt_.clear(op, p.cluster, cls, p.fuInstance, p.time % ii_);
-    if (!max_time_dirty_ && p.time == max_time_)
-        max_time_dirty_ = true;
     p = Placement{};
     --scheduled_count_;
 }
@@ -185,16 +179,12 @@ PartialSchedule::placementCount(OpId op) const
 Cycle
 PartialSchedule::maxTime() const
 {
-    if (max_time_dirty_) {
-        Cycle m = -1;
-        for (OpId id = 0; id < ddg_->numOps(); ++id) {
-            if (ddg_->opLive(id) && isScheduled(id))
-                m = std::max(m, timeOf(id));
-        }
-        max_time_ = m;
-        max_time_dirty_ = false;
+    Cycle m = -1;
+    for (OpId id = 0; id < ddg_->numOps(); ++id) {
+        if (ddg_->opLive(id) && isScheduled(id))
+            m = std::max(m, timeOf(id));
     }
-    return max_time_;
+    return m;
 }
 
 } // namespace dms

@@ -7,8 +7,9 @@
  * reservation table, with the eviction machinery both IMS and DMS
  * backtracking rely on. Designed for reuse across the II ladder:
  * reset() re-shapes the arenas for a new attempt without
- * reallocating, and the hot queries (findFreeSlot, maxTime,
+ * reallocating, and the hot queries (findFreeSlot,
  * violatedSuccessors) are incremental rather than rescans.
+ * maxTime() is a scan: it is read once per compile.
  */
 
 #include <memory>
@@ -121,9 +122,8 @@ class PartialSchedule
     int placementCount(OpId op) const;
 
     /**
-     * Largest scheduled time, or -1 for an empty schedule.
-     * Memoized: O(1) unless an eviction removed the maximum since
-     * the last query.
+     * Largest scheduled time of a live op, or -1 for an empty
+     * schedule. A scan over the ops.
      */
     Cycle maxTime() const;
 
@@ -149,11 +149,6 @@ class PartialSchedule
     /** Epoch-stamped seen set for violatedSuccessors dedup. */
     mutable std::vector<std::uint32_t> seen_epoch_;
     mutable std::uint32_t epoch_ = 0;
-
-    /** Memoized maxTime; recomputed lazily after a demoting
-     * unschedule. */
-    mutable Cycle max_time_ = -1;
-    mutable bool max_time_dirty_ = false;
 };
 
 inline void

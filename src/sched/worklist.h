@@ -13,10 +13,14 @@
  * heap operation. Eviction churn re-pushes operations; a membership
  * flag deduplicates re-pushes of an operation already waiting.
  *
- * Buckets are *rank-compressed*: one bucket per distinct height in
- * the attempt (sorted-unique at build time), so the bucket array is
- * bounded by the op count rather than the height range and sparse
- * height tables (huge latencies, long chains) cost nothing.
+ * Buckets are *dense* while the attempt's height range is at most
+ * max(2 × live ops, 64): one bucket per height offset from the
+ * minimum, found by subtraction. Beyond that they are
+ * *rank-compressed*: one bucket per distinct height (sorted-unique
+ * at build time), found by binary search. Either way the bucket
+ * array holds at most max(2 × live ops, 64) buckets whatever the
+ * height range, so sparse height tables (huge latencies, long
+ * chains) cost nothing.
  *
  * Invariant while a scheduler runs: the worklist holds exactly the
  * live, unscheduled, non-move operations. Move operations never

@@ -6,17 +6,6 @@
 
 namespace dms {
 
-std::uint64_t
-fnv1a64(std::string_view s)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 ResultCache::ResultCache(int shards, int capacity)
     : shards_(static_cast<size_t>(std::max(shards, 1)))
 {

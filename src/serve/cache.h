@@ -38,12 +38,11 @@
 #include <unordered_map>
 #include <vector>
 
+#include "support/strings.h" // fnv1a64, the shard/bucket hash
+
 namespace dms {
 
 struct CompileResult;
-
-/** FNV-1a over bytes; the shard/bucket hash of the result cache. */
-std::uint64_t fnv1a64(std::string_view s);
 
 /**
  * One memo slot: a single-flight rendezvous that becomes a cached

@@ -28,17 +28,6 @@ mix64(std::uint64_t z)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-fnvName(const std::string &s)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 bool
 matches(const std::string &pattern, const char *site)
 {
@@ -179,7 +168,7 @@ faultPointSlow(const char *site)
         std::unique_ptr<SiteState> &slot = armed->sites[site];
         if (slot == nullptr) {
             slot.reset(new SiteState());
-            slot->nameHash = fnvName(site);
+            slot->nameHash = fnv1a64(site);
             // First matching spec wins, so explicit sites should
             // precede wildcards in the plan.
             for (const FaultSpec &spec : armed->plan.specs()) {

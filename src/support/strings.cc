@@ -158,4 +158,15 @@ envInt(const char *var, int fallback, int lo)
     return v;
 }
 
+std::uint64_t
+fnv1a64(std::string_view s)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (char c : s) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
 } // namespace dms

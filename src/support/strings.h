@@ -3,7 +3,8 @@
 
 /**
  * @file
- * Small string helpers used by config parsing and emitters.
+ * Small string helpers used by config parsing, emitters and the
+ * byte hash the result cache and the fault injector share.
  */
 
 #include <cstdint>
@@ -61,6 +62,12 @@ void appendInt(std::string &out, std::string_view label, long long v);
  * strict-parse path every DMS_* knob goes through.
  */
 int envInt(const char *var, int fallback, int lo = 1);
+
+/**
+ * FNV-1a 64 over bytes: the result cache's shard/bucket hash and
+ * the fault injector's site-name hash.
+ */
+std::uint64_t fnv1a64(std::string_view s);
 
 } // namespace dms
 

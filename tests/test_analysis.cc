@@ -1,10 +1,10 @@
 /**
  * @file
  * The static-analysis layer: diagnostic rendering, the check
- * registry, golden output over the seeded-defect corpus, and
+ * table, golden output over the seeded-defect corpus, and
  * programmatically seeded defects for every schedule / queue /
  * kernel audit. The final coverage test asserts that the union of
- * everything seeded here fires *every* registered check id — a new
+ * everything seeded here fires *every* check id in the table — a new
  * check cannot be merged without a defect that proves it works.
  */
 
@@ -179,17 +179,15 @@ firstOpOfClass(const Ddg &ddg, FuClass cls)
     return kInvalidOp;
 }
 
-// --- registry and rendering --------------------------------------------
+// --- check table and rendering -----------------------------------------
 
 TEST(CheckRegistry, AllIdsRegisteredAndSorted)
 {
-    const std::vector<const Check *> checks =
-        CheckRegistry::instance().checks();
     std::vector<std::string> ids;
-    for (const Check *c : checks) {
-        ids.emplace_back(c->id());
-        EXPECT_NE(CheckRegistry::instance().find(c->id()), nullptr);
-        EXPECT_STRNE(c->description(), "");
+    for (const Check &c : allChecks()) {
+        ids.emplace_back(c.id);
+        EXPECT_STRNE(c.description, "");
+        EXPECT_NE(c.run, nullptr);
     }
     EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
     // The catalog is append-only: removing or renaming a stable id
@@ -362,6 +360,26 @@ TEST(LintClean, CompiledArtifactsAuditClean)
     ASSERT_TRUE(c.ok);
     const DiagnosticSink sink = runInput(c.input());
     EXPECT_EQ(sink.renderText(), "");
+
+    // Every subset of the honest artifacts audits clean too: a check
+    // whose guard lets it run without an input it reads would
+    // report or crash on one of these partial inputs.
+    const AnalysisInput full = c.input();
+    for (unsigned mask = 0; mask < (1u << 7); ++mask) {
+        AnalysisInput in;
+        auto keep = [&](int bit, auto member) {
+            if ((mask & (1u << bit)) != 0)
+                in.*member = full.*member;
+        };
+        keep(0, &AnalysisInput::machine);
+        keep(1, &AnalysisInput::ddg);
+        keep(2, &AnalysisInput::schedule);
+        keep(3, &AnalysisInput::queues);
+        keep(4, &AnalysisInput::sharing);
+        keep(5, &AnalysisInput::kernel);
+        keep(6, &AnalysisInput::kernelText);
+        EXPECT_EQ(runInput(in).renderText(), "") << "mask " << mask;
+    }
 }
 
 // --- seeded schedule defects -------------------------------------------
@@ -737,7 +755,7 @@ TEST(SeededKernel, ShapeAndAnnotation)
     EXPECT_TRUE(fired(runInput(in), "kernel.queue-annotation"));
 }
 
-// --- every registered check fires somewhere ----------------------------
+// --- every check fires somewhere ---------------------------------------
 
 TEST(Coverage, EverySeededDefectUnionCoversAllChecks)
 {
@@ -922,10 +940,10 @@ TEST(Coverage, EverySeededDefectUnionCoversAllChecks)
         absorb(runInput(in));
     }
 
-    std::set<std::string> registered;
-    for (const Check *check : CheckRegistry::instance().checks())
-        registered.insert(check->id());
-    EXPECT_EQ(all, registered);
+    std::set<std::string> listed;
+    for (const Check &check : allChecks())
+        listed.insert(check.id);
+    EXPECT_EQ(all, listed);
 }
 
 // --- the opt-in pipeline stage -----------------------------------------

@@ -229,7 +229,6 @@ TEST(ChainRegistryTest, CreateSplicesAndDissolveRestores)
     OpId s = b.store(1, x);
     Ddg g = b.take();
     EdgeId orig = 0;
-    (void)s;
 
     MachineModel m = MachineModel::clusteredRing(6);
     PartialSchedule ps(g, m, 2);
@@ -252,7 +251,12 @@ TEST(ChainRegistryTest, CreateSplicesAndDissolveRestores)
     EXPECT_EQ(g.liveOpCount(), 2);
     EXPECT_EQ(ps.scheduledCount(), 0);
     EXPECT_EQ(reg.chainOfMove(ch.moves[0]), -1);
-    EXPECT_EQ(reg.liveChainCount(), 0);
+    // No live chain hangs off either endpoint any more.
+    std::vector<int> touching;
+    reg.chainsTouching(x, touching);
+    EXPECT_TRUE(touching.empty());
+    reg.chainsTouching(s, touching);
+    EXPECT_TRUE(touching.empty());
 }
 
 TEST(ChainRegistryTest, DistanceTravelsOnFirstEdge)
@@ -288,14 +292,14 @@ TEST(ChainRegistryTest, ChainsTouchingFindsEndpoints)
     int cid = reg.create(g, 0, {2}, 1);
     std::vector<int> touching_producer;
     std::vector<int> touching_consumer;
-    reg.chainsTouching(g, x, touching_producer);
-    reg.chainsTouching(g, st, touching_consumer);
+    reg.chainsTouching(x, touching_producer);
+    reg.chainsTouching(st, touching_consumer);
     ASSERT_EQ(touching_producer.size(), 1u);
     EXPECT_EQ(touching_producer[0], cid);
     ASSERT_EQ(touching_consumer.size(), 1u);
     // The move itself is not an endpoint.
     std::vector<int> touching_move;
-    reg.chainsTouching(g, reg.chain(cid).moves[0], touching_move);
+    reg.chainsTouching(reg.chain(cid).moves[0], touching_move);
     EXPECT_TRUE(touching_move.empty());
 }
 
